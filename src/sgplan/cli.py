@@ -3,9 +3,7 @@
 Subcommands: generate, solve-finite, certify, sparse-plan, gap-experiment,
 solve-discounted, probe-nash-mode, sample-size, run-suite.  Exit codes:
 0 success, 1 input/validation error, 2 non-convergence (solve-discounted
-only).  Every command is deterministic given identical flags and seeds;
-SG_THREADS optionally caps per-state parallelism (absence means 1) without
-changing any output byte.
+only).  Every command is deterministic given identical flags and seeds.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import argparse
 import json
 import sys
 
-from ._parallel import thread_count_from_env
 from .discounted_planner import infinite_vi, nash_mode_probe
 from .errors import GameFileError, SgError
 from .finite_planner import finite_vi, nash_certificate
@@ -63,7 +60,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve_finite(args) -> int:
     game = load_game(args.game)
-    result = finite_vi(game, args.horizon, threads=thread_count_from_env())
+    result = finite_vi(game, args.horizon)
     if args.out_policy:
         save_policy_pair(result.policy1, result.policy2, args.out_policy)
     if args.trace:
@@ -116,8 +113,7 @@ def _cmd_gap_experiment(args) -> int:
 
 def _cmd_solve_discounted(args) -> int:
     game = load_game(args.game)
-    result = infinite_vi(game, args.gamma, tol=args.tol, max_iter=args.max_iter,
-                         threads=thread_count_from_env())
+    result = infinite_vi(game, args.gamma, tol=args.tol, max_iter=args.max_iter)
     if args.trace:
         rows = [(t + 1, delta, v1, v2)
                 for t, (delta, (v1, v2)) in enumerate(zip(result.deltas,

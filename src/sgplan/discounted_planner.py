@@ -1,6 +1,6 @@
 """Discounted value iteration with a security selection function.
 
-The sweep mirrors the finite-horizon backup with a discount factor:
+The sweep is `finite_planner.backup_sweep` with a discount factor gamma < 1:
 
     Q_k[s] <- M_k[s] + gamma * sum_s' P(s'|s, i, j) * v_k[s']
 
@@ -17,14 +17,14 @@ Values here are discounted payoff sums (not per-stage averages).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._parallel import state_map
-from .errors import SgError, SelectionFailure
+from .errors import SgError
+from .finite_planner import backup_sweep
 from .game_model import StationaryPolicy, StochasticGame
-from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, security_select, nash_select
+from .matrix_games import SelectionFunction, StrategyProfile, security_select, nash_select
 
 
 @dataclass(frozen=True)
@@ -55,62 +55,49 @@ class InfiniteVIResult:
     final: DiscountedIterate
 
 
-def _sweep(game: StochasticGame, gamma: float, v1, v2, selection, t, threads):
-    n_states = game.n_states
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
 
-    def backup(s):
-        if t == 0:
-            b1 = np.array(game.payoffs1[s])
-            b2 = np.array(game.payoffs2[s])
-        else:
-            b1 = game.payoffs1[s] + gamma * (game.transitions[s] @ v1)
-            b2 = game.payoffs2[s] + gamma * (game.transitions[s] @ v2)
-        try:
-            prof = selection(MatrixGame(b1, b2))
-        except SgError as exc:
-            raise SelectionFailure(s, t, exc) from exc
-        return b1, b2, prof
 
-    results = state_map(backup, n_states, threads)
-    q1 = np.stack([r[0] for r in results])
-    q2 = np.stack([r[1] for r in results])
-    profiles = tuple(r[2] for r in results)
-    new_v1 = np.array([p.value1 for p in profiles])
-    new_v2 = np.array([p.value2 for p in profiles])
-    return q1, q2, profiles, new_v1, new_v2
+def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
+            max_iter: int):
+    """Yield sweeps 0..max_iter of the discounted backup.  Sweep 0 backs up
+    the stage games and has delta nan; sweep t backs up sweep t-1's values."""
+    _check_gamma(gamma)
+    q1, q2, profiles, v1, v2 = backup_sweep(game, gamma, None, None, selection, 0)
+    yield DiscountedIterate(0, q1, q2, profiles, v1, v2, float("nan"))
+    for t in range(1, max_iter + 1):
+        q1, q2, profiles, new_v1, new_v2 = backup_sweep(game, gamma, v1, v2, selection, t)
+        delta = float(max(np.abs(new_v1 - v1).max(), np.abs(new_v2 - v2).max()))
+        v1, v2 = new_v1, new_v2
+        yield DiscountedIterate(t, q1, q2, profiles, v1, v2, delta)
 
 
 def infinite_vi(game: StochasticGame, gamma: float,
                 selection: SelectionFunction = security_select,
-                tol: float = 1e-9, max_iter: int = 100_000,
-                threads: int = 1) -> InfiniteVIResult:
+                tol: float = 1e-9, max_iter: int = 100_000) -> InfiniteVIResult:
     """Iterate the discounted backup until the values settle.
 
     Stops when the sup-norm (over states and players) of successive value
     tables is <= tol, or flags non-convergence after max_iter sweeps.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
-    q1, q2, profiles, v1, v2 = _sweep(game, gamma, None, None, selection, 0, threads)
     deltas: list[float] = []
     value_trace: list[tuple[float, float]] = []
     converged = False
-    t = 0
-    for t in range(1, max_iter + 1):
-        q1, q2, profiles, new_v1, new_v2 = _sweep(game, gamma, v1, v2, selection, t, threads)
-        delta = float(max(np.abs(new_v1 - v1).max(), np.abs(new_v2 - v2).max()))
-        deltas.append(delta)
-        v1, v2 = new_v1, new_v2
-        value_trace.append((float(v1[game.start_state]), float(v2[game.start_state])))
-        if delta <= tol:
-            converged = True
-            break
-    final = DiscountedIterate(t, q1, q2, profiles, v1, v2,
-                              deltas[-1] if deltas else 0.0)
-    pol1 = StationaryPolicy({s: profiles[s].row.probs for s in range(game.n_states)})
-    pol2 = StationaryPolicy({s: profiles[s].col.probs for s in range(game.n_states)})
-    return InfiniteVIResult(pol1, pol2, v1, v2, tuple(deltas), tuple(value_trace),
-                            converged, t, final)
+    s0 = game.start_state
+    for it in _sweeps(game, gamma, selection, max_iter):
+        if it.t:
+            deltas.append(it.delta)
+            value_trace.append((float(it.values1[s0]), float(it.values2[s0])))
+            if it.delta <= tol:
+                converged = True
+                break
+    final = it if it.t else replace(it, delta=0.0)
+    pol1 = StationaryPolicy({s: it.profiles[s].row.probs for s in range(game.n_states)})
+    pol2 = StationaryPolicy({s: it.profiles[s].col.probs for s in range(game.n_states)})
+    return InfiniteVIResult(pol1, pol2, it.values1, it.values2, tuple(deltas),
+                            tuple(value_trace), converged, it.t, final)
 
 
 @dataclass(frozen=True)
@@ -145,6 +132,11 @@ def contraction_check(deltas, gamma: float, slack: float = 1e-9) -> ContractionR
     return ContractionReport(tuple(out))
 
 
+# gamma = 0.9999 at tol 1e-9 needs about 3e5 sweeps on unit payoffs; the cap
+# stops a tolerance below rounding noise from looping forever
+_CERTIFICATE_MAX_SWEEPS = 1_000_000
+
+
 def _worst_case_value(game: StochasticGame, policy: StationaryPolicy, gamma: float,
                       player: int, tol: float) -> np.ndarray:
     """Discounted value of `policy` for `player` against a minimizing
@@ -162,12 +154,14 @@ def _worst_case_value(game: StochasticGame, policy: StationaryPolicy, gamma: flo
     w = np.zeros(n_states)
     # stop once the remaining drift gamma*change/(1-gamma) is below tol
     threshold = tol * (1.0 - gamma) / gamma if gamma > 0 else 0.0
-    while True:
+    for _ in range(_CERTIFICATE_MAX_SWEEPS):
         new = (rewards + gamma * (trans @ w)).min(axis=1)
         change = np.abs(new - w).max()
         w = new
         if change <= threshold:
             return w
+    raise SgError(f"worst-case value iteration did not reach tol={tol} "
+                  f"within {_CERTIFICATE_MAX_SWEEPS} sweeps (gamma={gamma})")
 
 
 def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
@@ -180,6 +174,7 @@ def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
     policy); positive means the claim exceeds what the policy guarantees.
     Converged zero-sum runs should show shortfalls <= ~1e-6.
     """
+    _check_gamma(gamma)
     if start is None:
         start = game.start_state
     claimed1 = np.asarray(claimed1, dtype=float).reshape(-1)
@@ -220,26 +215,22 @@ def nash_mode_probe(game: StochasticGame, gamma: float,
     """Run the discounted sweep with a Nash selection function and watch
     the value tables.  No claim is made about which games oscillate; the
     probe only classifies what this run did within max_iter sweeps."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
-    _, _, profiles, v1, v2 = _sweep(game, gamma, None, None, selection, 0, 1)
-    trajectory = [ProbeIteration(0, float("nan"), v1, v2, profiles)]
-    fingerprints = {_fingerprint(v1, v2): 0}
+    trajectory: list[ProbeIteration] = []
     deltas: list[float] = []
-    for t in range(1, max_iter + 1):
-        _, _, profiles, new_v1, new_v2 = _sweep(game, gamma, v1, v2, selection, t, 1)
-        delta = float(max(np.abs(new_v1 - v1).max(), np.abs(new_v2 - v2).max()))
-        deltas.append(delta)
-        v1, v2 = new_v1, new_v2
-        trajectory.append(ProbeIteration(t, delta, v1, v2, profiles))
-        if delta <= tol:
-            return ProbeReport("converged", t, tuple(deltas), tuple(trajectory))
-        fp = _fingerprint(v1, v2)
+    fingerprints: dict[bytes, int] = {}
+    for it in _sweeps(game, gamma, selection, max_iter):
+        trajectory.append(ProbeIteration(it.t, it.delta, it.values1, it.values2,
+                                         it.profiles))
+        if it.t:
+            deltas.append(it.delta)
+            if it.delta <= tol:
+                return ProbeReport("converged", it.t, tuple(deltas), tuple(trajectory))
+        fp = _fingerprint(it.values1, it.values2)
         if fp in fingerprints:
             first = fingerprints[fp]
-            return ProbeReport("cyclic", t, tuple(deltas), tuple(trajectory),
-                               cycle_start=first, cycle_length=t - first)
-        fingerprints[fp] = t
+            return ProbeReport("cyclic", it.t, tuple(deltas), tuple(trajectory),
+                               cycle_start=first, cycle_length=it.t - first)
+        fingerprints[fp] = it.t
     return ProbeReport("undetermined", max_iter, tuple(deltas), tuple(trajectory))
 
 

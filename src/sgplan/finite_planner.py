@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import state_map
 from .errors import SgError, SelectionFailure
 from .game_model import StochasticGame, TimeDependentPolicy
 from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, nash_select
@@ -56,46 +55,50 @@ class FiniteVIResult:
     table: BackupTable
 
 
+def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
+                 selection: SelectionFunction, t: int):
+    """Back up every state once and select an equilibrium of each backup pair.
+
+    Q_k = M_k + gamma * (P @ v_k) over all states at once, or the stage
+    games themselves when v1 is None.  Returns (q1, q2, profiles, values1,
+    values2) in state order; a selection error becomes SelectionFailure(s, t).
+    """
+    if v1 is None:
+        q1, q2 = game.payoffs1, game.payoffs2
+    else:
+        # gamma * (P @ v), not P @ (gamma * v): the output bits depend on it
+        q1 = game.payoffs1 + gamma * (game.transitions @ v1)
+        q2 = game.payoffs2 + gamma * (game.transitions @ v2)
+    profiles = []
+    for s in range(game.n_states):
+        try:
+            profiles.append(selection(MatrixGame(q1[s], q2[s])))
+        except SgError as exc:
+            raise SelectionFailure(s, t, exc) from exc
+    values1 = np.array([p.value1 for p in profiles])
+    values2 = np.array([p.value2 for p in profiles])
+    return q1, q2, tuple(profiles), values1, values2
+
+
 def finite_vi(game: StochasticGame, horizon: int,
-              selection: SelectionFunction = nash_select,
-              threads: int = 1) -> FiniteVIResult:
+              selection: SelectionFunction = nash_select) -> FiniteVIResult:
     """Nash value iteration over backup matrices for an H-stage game."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     n_states, n1, n2 = game.n_states, game.n_row_actions, game.n_col_actions
     q1 = np.zeros((n_states, horizon, n1, n2))
     q2 = np.zeros((n_states, horizon, n1, n2))
-    profiles: list[list[StrategyProfile]] = [[None] * horizon for _ in range(n_states)]
-    v1 = np.zeros((n_states, horizon))
-    v2 = np.zeros((n_states, horizon))
-
-    def backup(s: int, t: int):
-        if t == 0:
-            b1 = game.payoffs1[s]
-            b2 = game.payoffs2[s]
-        else:
-            b1 = game.payoffs1[s] + game.transitions[s] @ v1[:, t - 1]
-            b2 = game.payoffs2[s] + game.transitions[s] @ v2[:, t - 1]
-        try:
-            prof = selection(MatrixGame(b1, b2))
-        except SgError as exc:
-            raise SelectionFailure(s, t, exc) from exc
-        return b1, b2, prof
-
+    levels = []  # [t][state]
+    v1 = v2 = None
     for t in range(horizon):
-        results = state_map(lambda s: backup(s, t), n_states, threads)
-        for s, (b1, b2, prof) in enumerate(results):
-            q1[s, t] = b1
-            q2[s, t] = b2
-            profiles[s][t] = prof
-            v1[s, t] = prof.value1
-            v2[s, t] = prof.value2
+        q1[:, t], q2[:, t], level, v1, v2 = backup_sweep(game, 1.0, v1, v2, selection, t)
+        levels.append(level)
 
-    table = BackupTable(horizon, q1, q2, tuple(tuple(p) for p in profiles))
+    table = BackupTable(horizon, q1, q2, tuple(zip(*levels)))
     pol1 = TimeDependentPolicy(horizon, n1, {
-        (s, t): profiles[s][t].row.probs for s in range(n_states) for t in range(horizon)})
+        (s, t): levels[t][s].row.probs for s in range(n_states) for t in range(horizon)})
     pol2 = TimeDependentPolicy(horizon, n2, {
-        (s, t): profiles[s][t].col.probs for s in range(n_states) for t in range(horizon)})
+        (s, t): levels[t][s].col.probs for s in range(n_states) for t in range(horizon)})
     return FiniteVIResult(pol1, pol2, table)
 
 

@@ -1,14 +1,34 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from sgplan import (MatrixGame, contraction_check, infinite_vi, nash_mode_probe,
+from sgplan import (DegenerateGame, MatrixGame, SelectionFailure, SgError,
+                    contraction_check, infinite_vi, nash_mode_probe, nash_select,
                     random_game, security_certificate, security_level,
                     security_select, single_state_game, solve_zero_sum)
+from sgplan import discounted_planner
 from sgplan.game_model import StochasticGame
 
 
 def discounted_tail(stage_value, gamma, steps):
     return stage_value * (1 - gamma ** steps) / (1 - gamma)
+
+
+def all_minus_one_game():
+    payoffs = np.full((1, 2, 2), -1.0)
+    return StochasticGame(payoffs, payoffs.copy(), np.ones((1, 2, 2, 1)))
+
+
+def failing_after(calls, selection):
+    """A selection that delegates for its first `calls` calls, then raises."""
+    made = itertools.count(1)
+
+    def select(game):
+        if next(made) > calls:
+            raise DegenerateGame("boom")
+        return selection(game)
+    return select
 
 
 class TestInfiniteVI:
@@ -63,12 +83,11 @@ class TestInfiniteVI:
             _, level = security_level(MatrixGame(b1, -b1), 1)
             assert level == pytest.approx(result.values1[s], abs=1e-8)
 
-    def test_parallel_execution_identical(self):
-        game = random_game(5, 2, 2, 2, 1.0, seed=8, zero_sum=True)
-        a = infinite_vi(game, 0.7, threads=1)
-        b = infinite_vi(game, 0.7, threads=3)
-        np.testing.assert_array_equal(a.values1, b.values1)
-        assert a.deltas == b.deltas
+    def test_selection_failure_names_sweep(self, three_state_game):
+        # the first sweep (t=0) selects once per state; the next call fails
+        selection = failing_after(three_state_game.n_states, security_select)
+        with pytest.raises(SelectionFailure, match=r"state=0, t=1"):
+            infinite_vi(three_state_game, 0.7, selection=selection)
 
 
 class TestContraction:
@@ -132,14 +151,29 @@ class TestSecurityCertificate:
     def test_truncated_run_reports_positive_shortfall(self):
         # all payoffs -1: two sweeps claim -(1 + g + g^2) but the policy only
         # guarantees -1/(1-g); the claim overshoots by a visible margin
-        payoffs = np.full((1, 2, 2), -1.0)
-        game = StochasticGame(payoffs, payoffs.copy(), np.ones((1, 2, 2, 1)))
+        game = all_minus_one_game()
         result = infinite_vi(game, 0.9, max_iter=2)
         assert not result.converged
         s1, s2 = security_certificate(game, result.policy1, result.policy2,
                                       0.9, result.values1, result.values2)
         assert s1 > 1.0
         assert s2 > 1.0
+
+    def test_gamma_validated(self):
+        game = all_minus_one_game()
+        result = infinite_vi(game, 0.9)
+        for gamma in (1.0, -0.1):
+            with pytest.raises(ValueError):
+                security_certificate(game, result.policy1, result.policy2,
+                                     gamma, result.values1, result.values2)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        game = all_minus_one_game()
+        result = infinite_vi(game, 0.9)
+        monkeypatch.setattr(discounted_planner, "_CERTIFICATE_MAX_SWEEPS", 5)
+        with pytest.raises(SgError, match="within 5 sweeps"):
+            security_certificate(game, result.policy1, result.policy2,
+                                 0.9, result.values1, result.values2)
 
 
 class TestNashModeProbe:
@@ -163,6 +197,21 @@ class TestNashModeProbe:
             assert report.classification in ("converged", "cyclic", "undetermined")
             if report.classification == "cyclic":
                 assert report.cycle_length >= 1
+
+    def test_cyclic_fixture(self, three_state_game):
+        report = nash_mode_probe(three_state_game, 0.7, max_iter=200)
+        assert report.classification == "cyclic"
+        assert report.cycle_start == 58
+        assert report.cycle_length == 2
+        assert report.iterations == 60
+        first, again = report.trajectory[58], report.trajectory[60]
+        np.testing.assert_allclose(again.values1, first.values1, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(again.values2, first.values2, rtol=0, atol=1e-9)
+
+    def test_selection_failure_names_sweep(self, three_state_game):
+        selection = failing_after(three_state_game.n_states, nash_select)
+        with pytest.raises(SelectionFailure, match=r"state=0, t=1"):
+            nash_mode_probe(three_state_game, 0.7, selection=selection)
 
     def test_gamma_validated(self, repeated_pd):
         with pytest.raises(ValueError):

@@ -83,15 +83,6 @@ class TestFiniteVI:
                 g1, g2 = epsilon_nash_gap(backup, result.table.profile(s, t))
                 assert max(g1, g2) <= 1e-8
 
-    def test_parallel_execution_identical(self):
-        game = random_game(6, 3, 3, 3, 1.0, seed=29)
-        a = finite_vi(game, 4, threads=1)
-        b = finite_vi(game, 4, threads=4)
-        for s in range(6):
-            for t in range(4):
-                assert np.array_equal(a.policy1.probs(s, t), b.policy1.probs(s, t))
-                assert np.array_equal(a.table.q(1, s, t), b.table.q(1, s, t))
-
     def test_selection_failure_names_node(self, repeated_pd):
         def broken(game):
             raise DegenerateGame("boom")
