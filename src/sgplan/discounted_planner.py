@@ -60,11 +60,17 @@ def _check_gamma(gamma: float) -> None:
         raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
 
 
+def _check_max_iter(max_iter: int) -> None:
+    if max_iter < 0:
+        raise ValueError(f"sweep limit max_iter must be >= 0, got {max_iter}")
+
+
 def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
             max_iter: int):
     """Yield sweeps 0..max_iter of the discounted backup.  Sweep 0 backs up
     the stage games and has delta nan; sweep t backs up sweep t-1's values."""
     _check_gamma(gamma)
+    _check_max_iter(max_iter)
     q1, q2, profiles, v1, v2 = backup_sweep(game, gamma, None, None, selection, 0)
     yield DiscountedIterate(0, q1, q2, profiles, v1, v2, float("nan"))
     for t in range(1, max_iter + 1):

@@ -1,13 +1,18 @@
 """On-line sparse-sampling planner for large stochastic games.
 
 `sparse_game` plans one step from a generative model: at (state, t) it
-draws m successor states per pure action pair, recurses to depth t, forms
+draws m successor states per pure action pair down to depth t, forms
 sampled backup matrices
 
     Qhat_k[s, t](i, j) = M_k[s](i, j) + (1/m) sum_l Qhat_k[s'_l, t-1]
 
 and plays the selection function's equilibrium of the pair.  The per-call
 cost is independent of the state-space size but exponential in t.
+
+The tree is expanded level-synchronously in array operations: top-down,
+every level is a flat array of states and seeds whose children are derived
+and sampled at once, the leaves in fixed blocks that are never stored;
+bottom-up, each level's backup matrices come from its children's values.
 
 All randomness is derived, never streamed: each branch (i, j, l) of a node
 gets its own 64-bit seed from a fixed SplitMix64-style mixing of
@@ -38,6 +43,9 @@ _UNIFORM_SALT = 0xD1B54A32D192ED03
 _INDEPENDENT_TAG = 0x494E444550  # retag for the independent-copy probe mode
 
 SEED_RULE = "splitmix64-v1"
+#: leaf draws are derived, sampled and averaged in blocks of about this
+#: many (at least one tt = 1 node's worth), so leaf seeds are never all held
+_LEAF_BLOCK = 4096
 
 
 def _mix64(z: int) -> int:
@@ -65,10 +73,14 @@ def derive_seed(parent: int, *fields: int) -> int:
     return h
 
 
-def _derive_children(branch_seed: int, m: int) -> np.ndarray:
-    """Vectorized derive_seed(branch_seed, l) for l = 0..m-1."""
-    ells = np.arange(m, dtype=np.uint64) + np.uint64(_GOLDEN & _MASK64)
-    return _mix64_arr(np.uint64(branch_seed) ^ _mix64_arr(ells))
+def _fold(h: np.ndarray, field) -> np.ndarray:
+    """One step of derive_seed's fold, elementwise with broadcasting."""
+    return _mix64_arr(h ^ _mix64_arr(np.asarray(field).astype(np.uint64) + np.uint64(_GOLDEN)))
+
+
+def _derive_children(branch_seeds, m: int) -> np.ndarray:
+    """derive_seed(b, l) for each branch seed b and l < m, on a new last axis."""
+    return _fold(np.asarray(branch_seeds, dtype=np.uint64)[..., None], np.arange(m))
 
 
 def _uniforms(seeds: np.ndarray) -> np.ndarray:
@@ -101,7 +113,7 @@ class SeedSpec:
 class SparsePlanResult:
     """Output of one planning call: strategies at the queried state, the
     sampled backup matrices, their values at the profile (payoff-sum
-    units), and the number of (conceptual) recursive calls expanded."""
+    units), and the number of nodes in the sampling tree."""
 
     profile: StrategyProfile
     q_hats: tuple[float, float]
@@ -109,118 +121,116 @@ class SparsePlanResult:
     nodes_expanded: int
 
 
+def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: int,
+            m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Children of every node of one level (time remaining tt): their
+    states and seeds, shape (nodes, n1, n2, m).  Draws one sample batch per
+    distinct (state, i, j) of the level."""
+    n1, n2 = model.n_row_actions, model.n_col_actions
+    h = _fold(_fold(seeds, states), [tt])
+    branch = _fold(_fold(h[:, None], np.arange(n1))[:, :, None], np.arange(n2))
+    child_seeds = _derive_children(branch, m)
+    us = _uniforms(child_seeds)
+    children = np.empty(child_seeds.shape, dtype=np.int64)
+    for s in np.unique(states):
+        rows = np.flatnonzero(states == s)
+        for i in range(n1):
+            for j in range(n2):
+                drawn = model.sample_from_uniform_many(int(s), i, j, us[rows, i, j].ravel())
+                children[rows, i, j] = np.reshape(drawn, (rows.size, m))
+    return children, child_seeds
+
+
 def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
                 selection: SelectionFunction = nash_select,
                 node_budget: int | None = None) -> SparsePlanResult:
     """Plan one step at (state, t) from m samples per action pair.
 
-    Deterministic in (model, state, t, m, seed).  Raises
-    NodeBudgetExceeded once more than node_budget nodes are expanded and
+    Deterministic in (model, state, t, m, seed).  Raises ValueError for a
+    state outside the model's 0..n_states-1, NodeBudgetExceeded before any
+    work when the tree has more than node_budget nodes, and
     SelectionFailure if the selection function fails at some node.
     """
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     if t < 0:
         raise ValueError(f"time remaining must be >= 0, got {t}")
+    n_states = getattr(model, "n_states", None)
+    if n_states is not None and not 0 <= state < n_states:
+        raise ValueError(f"state {state} not in 0..{n_states - 1}")
     spec = SeedSpec.of(seed)
     explicit_game = getattr(model, "game", None)
-    if explicit_game is not None:
-        scale = explicit_game.r_max
-    else:
-        root_stage = model.payoffs(state)
-        scale = max(np.abs(root_stage.payoff1).max(), np.abs(root_stage.payoff2).max())
+    root_stage = model.payoffs(state)
+    scale = (explicit_game.r_max if explicit_game is not None
+             else max(np.abs(root_stage.payoff1).max(), np.abs(root_stage.payoff2).max()))
     if scale > 1.0:
         warnings.warn(f"payoff bound {scale:g} exceeds 1; accuracy guarantees "
                       "scale with the bound", stacklevel=2)
     n1, n2 = model.n_row_actions, model.n_col_actions
-    count = [0]
-    base_cache: dict[int, tuple[StrategyProfile, MatrixGame]] = {}
+    width = n1 * n2 * m
+    nodes = sum(width ** k for k in range(t + 1))
+    if node_budget is not None and nodes > node_budget:
+        raise NodeBudgetExceeded(
+            f"sparse recursion exceeded node budget {node_budget} "
+            f"(root state={state}, t={t}, m={m})")
+    base_cache: dict[int, StrategyProfile] = {}
 
-    def bump(k: int):
-        count[0] += k
-        if node_budget is not None and count[0] > node_budget:
-            raise NodeBudgetExceeded(
-                f"sparse recursion exceeded node budget {node_budget} "
-                f"(root state={state}, t={t}, m={m})")
-
-    def base(s: int):
-        hit = base_cache.get(s)
-        if hit is None:
-            stage = model.payoffs(s)
-            try:
-                prof = selection(stage)
-            except SgError as exc:
-                raise SelectionFailure(s, 0, exc) from exc
-            hit = (prof, stage)
-            base_cache[s] = hit
-        return hit
-
-    # explicit models expose n_states; gathering base values from a lazily
-    # filled array beats a per-branch np.unique pass (only states actually
-    # sampled are ever evaluated)
-    explicit_n = getattr(model, "n_states", None)
-    if explicit_n is not None and explicit_n <= 65536:
-        v1_base = np.full(explicit_n, np.nan)
-        v2_base = np.full(explicit_n, np.nan)
-
-        def base_values(states: np.ndarray) -> tuple[float, float]:
-            vals1 = v1_base[states]
-            if np.isnan(vals1).any():
-                for s2 in np.unique(states[np.isnan(vals1)]):
-                    prof = base(int(s2))[0]
-                    v1_base[s2] = prof.value1
-                    v2_base[s2] = prof.value2
-                vals1 = v1_base[states]
-            return float(vals1.mean()), float(v2_base[states].mean())
-    else:
-        def base_values(states: np.ndarray) -> tuple[float, float]:
-            uniq, inverse = np.unique(states, return_inverse=True)
-            vals = np.empty((uniq.size, 2))
-            for k, s in enumerate(uniq):
-                prof = base(int(s))[0]
-                vals[k, 0] = prof.value1
-                vals[k, 1] = prof.value2
-            picked = vals[inverse]
-            return float(picked[:, 0].mean()), float(picked[:, 1].mean())
-
-    def expand(s: int, tt: int, node_seed: int):
-        bump(1)
-        if tt == 0:
-            prof, stage = base(s)
-            return prof, stage.payoff1, stage.payoff2
-        stage = model.payoffs(s)
-        q1 = np.array(stage.payoff1)
-        q2 = np.array(stage.payoff2)
-        for i in range(n1):
-            for j in range(n2):
-                branch = derive_seed(node_seed, s, tt, i, j)
-                child_seeds = _derive_children(branch, m)
-                children = model.sample_from_uniform_many(s, i, j, _uniforms(child_seeds))
-                if tt == 1:
-                    bump(m)
-                    mean1, mean2 = base_values(children)
-                else:
-                    tot1 = 0.0
-                    tot2 = 0.0
-                    for ell in range(m):
-                        child_prof, _, _ = expand(int(children[ell]), tt - 1,
-                                                  int(child_seeds[ell]))
-                        tot1 += child_prof.value1
-                        tot2 += child_prof.value2
-                    mean1 = tot1 / m
-                    mean2 = tot2 / m
-                q1[i, j] += mean1
-                q2[i, j] += mean2
+    def select(game: MatrixGame, s: int, tt: int) -> StrategyProfile:
         try:
-            prof = selection(MatrixGame(q1, q2))
+            return selection(game)
         except SgError as exc:
             raise SelectionFailure(s, tt, exc) from exc
-        return prof, q1, q2
 
-    prof, q1, q2 = expand(state, t, spec.root_seed)
+    def base(s: int) -> StrategyProfile:
+        if s not in base_cache:
+            base_cache[s] = select(model.payoffs(s), s, 0)
+        return base_cache[s]
+
+    if t == 0:
+        prof = base(state)
+        q1, q2 = root_stage.payoff1, root_stage.payoff2
+    else:
+        # top-down: the states of every internal level, root first
+        levels = [np.array([state], dtype=np.int64)]
+        seeds = np.array([spec.root_seed], dtype=np.uint64)
+        for tt in range(t, 1, -1):
+            children, child_seeds = _expand(model, levels[-1], seeds, tt, m)
+            levels.append(children.ravel())
+            seeds = child_seeds.ravel()
+        # the leaves below the tt = 1 level, drawn and averaged block by
+        # block; tt = 1 takes numpy's (pairwise) mean over the m draws
+        last = levels[-1]
+        means = np.empty((2, last.size, n1, n2))
+        per_block = max(1, _LEAF_BLOCK // width)
+        for lo in range(0, last.size, per_block):
+            block = slice(lo, lo + per_block)
+            leaves, _ = _expand(model, last[block], seeds[block], 1, m)
+            uniq, inverse = np.unique(leaves, return_inverse=True)
+            profs = [base(s) for s in uniq.tolist()]
+            inverse = inverse.reshape(leaves.shape)
+            means[0, block] = np.array([p.value1 for p in profs])[inverse].mean(axis=-1)
+            means[1, block] = np.array([p.value2 for p in profs])[inverse].mean(axis=-1)
+        # bottom-up: above tt = 1 the child values are summed left to right
+        for k in range(t - 1, -1, -1):
+            states = levels[k]
+            if k < t - 1:
+                child = values.reshape(2, states.size, n1, n2, m)
+                total = np.zeros((2, states.size, n1, n2))
+                for ell in range(m):
+                    total += child[..., ell]
+                means = total / m
+            uniq, inverse = np.unique(states, return_inverse=True)
+            stages = [model.payoffs(s) for s in uniq.tolist()]
+            q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
+            q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
+            values = np.empty((2, states.size))
+            for node, s in enumerate(states.tolist()):
+                prof = select(MatrixGame(q1[node], q2[node]), s, t - k)
+                values[:, node] = prof.value1, prof.value2
+        q1, q2 = q1[0], q2[0]
     q1.setflags(write=False)
     q2.setflags(write=False)
-    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), count[0])
+    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), nodes)
 
 
 class ExactPlanner:
@@ -334,15 +344,8 @@ class InducedPolicyPair:
 
     def materialize(self, states: Iterable[int]) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
         """Plan every (state, t) and freeze both halves as explicit policies."""
-        t1 = {}
-        t2 = {}
-        for s in states:
-            for t in range(self.horizon):
-                prof = self.plan(s, t).profile
-                t1[(s, t)] = prof.row.probs
-                t2[(s, t)] = prof.col.probs
-        return (TimeDependentPolicy(self.horizon, self.model.n_row_actions, t1),
-                TimeDependentPolicy(self.horizon, self.model.n_col_actions, t2))
+        return _freeze(lambda s, t: self.plan(s, t).profile, states, self.horizon,
+                       self.model.n_row_actions, self.model.n_col_actions)
 
     @property
     def nodes_expanded(self) -> int:
@@ -356,17 +359,13 @@ def induced_policy(model: GenerativeModel, m: int, horizon: int, root_seed,
     return InducedPolicyPair(model, m, horizon, root_seed, selection, node_budget)
 
 
-def _materialize_exact(planner: ExactPlanner, states, horizon):
-    t1 = {}
-    t2 = {}
-    for s in states:
-        for t in range(horizon):
-            prof, _, _ = planner.node(s, t)
-            t1[(s, t)] = prof.row.probs
-            t2[(s, t)] = prof.col.probs
-    game = planner.game
-    return (TimeDependentPolicy(horizon, game.n_row_actions, t1),
-            TimeDependentPolicy(horizon, game.n_col_actions, t2))
+def _freeze(profile_at, states, horizon: int, n1: int, n2: int):
+    """Both halves of profile_at(s, t), over states and t < horizon, as
+    explicit policies."""
+    keys = [(s, t) for s in states for t in range(horizon)]
+    profs = [profile_at(s, t) for s, t in keys]
+    return (TimeDependentPolicy(horizon, n1, {k: p.row.probs for k, p in zip(keys, profs)}),
+            TimeDependentPolicy(horizon, n2, {k: p.col.probs for k, p in zip(keys, profs)}))
 
 
 @dataclass(frozen=True)
@@ -410,7 +409,8 @@ def gap_experiment(game: StochasticGame, horizon: int,
         for seed in seeds:
             if m == "exact":
                 planner = ExactPlanner(game, selection)
-                pol1, pol2 = _materialize_exact(planner, states, horizon)
+                pol1, pol2 = _freeze(lambda s, t: planner.node(s, t)[0], states, horizon,
+                                     game.n_row_actions, game.n_col_actions)
                 qerr1 = qerr2 = 0.0
                 nodes = planner.nodes_evaluated
             else:

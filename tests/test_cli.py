@@ -145,6 +145,14 @@ class TestCommands:
         assert r.returncode == 0
         assert "nodes=73" in r.stdout
 
+    @pytest.mark.parametrize("state", ["-1", "3"])
+    def test_sparse_plan_rejects_unknown_state(self, game_file, tmp_path, state):
+        r = run_cli(["sparse-plan", "--game", "game.json", "--state", state,
+                     "--t", "1", "--m", "2", "--seed", "0"], tmp_path)
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_model_flag_is_generative_route(self, game_file, tmp_path):
         a = run_cli(["sparse-plan", "--game", "game.json", "--t", "1", "--m", "3",
                      "--seed", "2"], tmp_path)
@@ -162,6 +170,13 @@ class TestCommands:
                      "--max-iter", "1"], tmp_path)
         assert r.returncode == 2
         assert "NOT converged" in r.stdout
+
+    def test_probe_nash_mode_rejects_negative_max_iter(self, game_file, tmp_path):
+        r = run_cli(["probe-nash-mode", "--game", "game.json", "--gamma", "0.5",
+                     "--max-iter", "-5"], tmp_path)
+        assert r.returncode == 1
+        assert "error:" in r.stderr and "max_iter" in r.stderr
+        assert r.stdout == ""
 
     def test_probe_nash_mode_runs(self, game_file, tmp_path):
         r = run_cli(["probe-nash-mode", "--game", "game.json", "--gamma", "0.5"],

@@ -67,6 +67,11 @@ class TestInfiniteVI:
         with pytest.raises(ValueError):
             infinite_vi(repeated_mp, -0.1)
 
+    def test_negative_max_iter_rejected(self, repeated_mp):
+        with pytest.raises(ValueError, match="max_iter"):
+            infinite_vi(repeated_mp, 0.5, max_iter=-3)
+        assert infinite_vi(repeated_mp, 0.5, max_iter=0).iterations == 0
+
     def test_non_convergence_flagged_not_raised(self):
         game = random_game(3, 2, 2, 2, 1.0, seed=4, zero_sum=True)
         result = infinite_vi(game, 0.9, max_iter=2)
@@ -216,3 +221,7 @@ class TestNashModeProbe:
     def test_gamma_validated(self, repeated_pd):
         with pytest.raises(ValueError):
             nash_mode_probe(repeated_pd, 1.0)
+
+    def test_negative_max_iter_rejected(self, repeated_pd):
+        with pytest.raises(ValueError, match="max_iter"):
+            nash_mode_probe(repeated_pd, 0.5, max_iter=-5)

@@ -1,11 +1,91 @@
 import numpy as np
 import pytest
 
-from sgplan import (MatrixGame, NodeBudgetExceeded, SeedSpec, derive_seed,
+from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
+                    SelectionFailure, derive_seed,
                     exact_sparse_game, finite_vi, gap_experiment, induced_policy,
                     nash_certificate, nash_select, random_game, sample_size,
                     single_state_game, sparse_game, as_generative)
-from sgplan.sparse_planner import _derive_children, _uniforms
+from sgplan import sparse_planner
+from sgplan.game_model import GenerativeModel
+from sgplan.sparse_planner import SparsePlanResult, _derive_children, _uniforms
+
+
+def recursive_reference(model, state, t, m, seed, selection=nash_select):
+    """Depth-first sparse sampling, branches in forward order: at tt = 1
+    the m leaf values are averaged by numpy's mean, above it they are
+    summed left to right and divided by m."""
+    base_cache = {}
+    count = [0]
+
+    def base(s):
+        if s not in base_cache:
+            base_cache[s] = selection(model.payoffs(s))
+        return base_cache[s]
+
+    def expand(s, tt, node_seed):
+        count[0] += 1
+        stage = model.payoffs(s)
+        if tt == 0:
+            return base(s), stage.payoff1, stage.payoff2
+        q1 = np.array(stage.payoff1)
+        q2 = np.array(stage.payoff2)
+        for i in range(model.n_row_actions):
+            for j in range(model.n_col_actions):
+                branch = derive_seed(node_seed, s, tt, i, j)
+                child_seeds = _derive_children(branch, m)
+                children = model.sample_from_uniform_many(s, i, j, _uniforms(child_seeds))
+                if tt == 1:
+                    count[0] += m
+                    mean1 = float(np.array([base(int(c)).value1 for c in children]).mean())
+                    mean2 = float(np.array([base(int(c)).value2 for c in children]).mean())
+                else:
+                    tot1 = tot2 = 0.0
+                    for ell in range(m):
+                        prof, _, _ = expand(int(children[ell]), tt - 1, int(child_seeds[ell]))
+                        tot1 += prof.value1
+                        tot2 += prof.value2
+                    mean1, mean2 = tot1 / m, tot2 / m
+                q1[i, j] += mean1
+                q2[i, j] += mean2
+        return selection(MatrixGame(q1, q2)), q1, q2
+
+    prof, q1, q2 = expand(state, t, SeedSpec.of(seed).root_seed)
+    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), count[0])
+
+
+class PayoffsAndSamplerOnly(GenerativeModel):
+    """Generic model: no game, no n_states, the base class's looped
+    sample_from_uniform_many."""
+
+    def __init__(self, game):
+        self._inner = as_generative(game)
+        self.n_row_actions = game.n_row_actions
+        self.n_col_actions = game.n_col_actions
+
+    def payoffs(self, state):
+        return self._inner.payoffs(state)
+
+    def sample_from_uniform(self, state, i, j, u):
+        return self._inner.sample_from_uniform(state, i, j, u)
+
+
+def counting(selection):
+    calls = []
+
+    def select(game):
+        calls.append(game)
+        return selection(game)
+    return select, calls
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.profile.row.probs, want.profile.row.probs)
+    assert np.array_equal(got.profile.col.probs, want.profile.col.probs)
+    assert got.q_hats == want.q_hats
+    assert np.array_equal(got.q_matrices[0], want.q_matrices[0])
+    assert np.array_equal(got.q_matrices[1], want.q_matrices[1])
+    assert got.nodes_expanded == want.nodes_expanded
 
 
 class TestSeedDerivation:
@@ -73,6 +153,29 @@ class TestSparseGame:
         with pytest.raises(NodeBudgetExceeded):
             sparse_game(model, 0, 2, 4, seed=1, node_budget=20)
 
+    def test_budget_boundary_checked_before_selection(self, three_state_game):
+        model = as_generative(three_state_game)
+        select, calls = counting(nash_select)
+        assert sparse_game(model, 0, 2, 2, seed=0, selection=select,
+                           node_budget=73).nodes_expanded == 73
+        calls.clear()
+        with pytest.raises(NodeBudgetExceeded, match="node budget 72"):
+            sparse_game(model, 0, 2, 2, seed=0, selection=select, node_budget=72)
+        assert calls == []
+
+    @pytest.mark.parametrize("state", [-1, 3])
+    def test_unknown_state_rejected(self, three_state_game, state):
+        model = as_generative(three_state_game)
+        with pytest.raises(ValueError, match=f"state {state} not in 0..2"):
+            sparse_game(model, state, 1, 2, seed=0)
+
+    def test_selection_failure_names_node(self, three_state_game):
+        def refuse(game):
+            raise DegenerateGame("boom")
+        model = as_generative(three_state_game)
+        with pytest.raises(SelectionFailure, match=r"t=0: boom"):
+            sparse_game(model, 0, 2, 2, seed=0, selection=refuse)
+
     def test_bit_identical_reruns(self, three_state_game):
         model = as_generative(three_state_game)
         a = sparse_game(model, 0, 2, 3, seed=77)
@@ -127,6 +230,38 @@ class TestSparseGame:
         want = reference(0, 2, SeedSpec(31).root_seed)
         np.testing.assert_allclose(got.profile.row.probs, want.row.probs, atol=1e-12)
         assert got.q_hats[0] == pytest.approx(want.value1, abs=1e-12)
+
+
+class TestBitContract:
+    """The level-synchronous expansion reproduces the depth-first
+    recursion bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2, 2, 1.0, 7), (4, 3, 2, 3, 1.0, 11)])
+    def test_matches_recursive_reference(self, shape):
+        *dims, seed = shape
+        game = random_game(*dims, seed=seed)
+        model = as_generative(game)
+        width = game.n_row_actions * game.n_col_actions
+        for t in range(4):
+            for m in (1, 3, 8, 9, 16):
+                if (width * m) ** t > 40_000:  # keeps the reference recursion quick
+                    continue
+                for root_seed in (0, 2 ** 63 + 5):
+                    assert_same_bits(sparse_game(model, 1, t, m, root_seed),
+                                     recursive_reference(model, 1, t, m, root_seed))
+
+    def test_generic_model_matches_explicit(self, three_state_game):
+        explicit = as_generative(three_state_game)
+        generic = PayoffsAndSamplerOnly(three_state_game)
+        for t, m in ((0, 3), (1, 9), (2, 3), (3, 2)):
+            assert_same_bits(sparse_game(generic, 2, t, m, seed=13),
+                             sparse_game(explicit, 2, t, m, seed=13))
+
+    def test_leaf_blocks_do_not_change_bits(self, three_state_game, monkeypatch):
+        model = as_generative(three_state_game)
+        want = sparse_game(model, 0, 3, 5, seed=3)
+        monkeypatch.setattr(sparse_planner, "_LEAF_BLOCK", 1)
+        assert_same_bits(sparse_game(model, 0, 3, 5, seed=3), want)
 
 
 class TestExactOracle:
