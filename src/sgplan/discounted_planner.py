@@ -55,22 +55,20 @@ class InfiniteVIResult:
     final: DiscountedIterate
 
 
-def _check_gamma(gamma: float) -> None:
+def _check_settings(gamma: float, tol: float, max_iter: int = 0) -> None:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
-
-
-def _check_max_iter(max_iter: int) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tolerance tol must be >= 0, got {tol}")
     if max_iter < 0:
         raise ValueError(f"sweep limit max_iter must be >= 0, got {max_iter}")
 
 
 def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
-            max_iter: int):
+            max_iter: int, tol: float):
     """Yield sweeps 0..max_iter of the discounted backup.  Sweep 0 backs up
     the stage games and has delta nan; sweep t backs up sweep t-1's values."""
-    _check_gamma(gamma)
-    _check_max_iter(max_iter)
+    _check_settings(gamma, tol, max_iter)
     q1, q2, profiles, v1, v2 = backup_sweep(game, gamma, None, None, selection, 0)
     yield DiscountedIterate(0, q1, q2, profiles, v1, v2, float("nan"))
     for t in range(1, max_iter + 1):
@@ -92,7 +90,7 @@ def infinite_vi(game: StochasticGame, gamma: float,
     value_trace: list[tuple[float, float]] = []
     converged = False
     s0 = game.start_state
-    for it in _sweeps(game, gamma, selection, max_iter):
+    for it in _sweeps(game, gamma, selection, max_iter, tol):
         if it.t:
             deltas.append(it.delta)
             value_trace.append((float(it.values1[s0]), float(it.values2[s0])))
@@ -100,8 +98,8 @@ def infinite_vi(game: StochasticGame, gamma: float,
                 converged = True
                 break
     final = it if it.t else replace(it, delta=0.0)
-    pol1 = StationaryPolicy({s: it.profiles[s].row.probs for s in range(game.n_states)})
-    pol2 = StationaryPolicy({s: it.profiles[s].col.probs for s in range(game.n_states)})
+    pol1 = StationaryPolicy([p.row.probs for p in it.profiles])
+    pol2 = StationaryPolicy([p.col.probs for p in it.profiles])
     return InfiniteVIResult(pol1, pol2, it.values1, it.values2, tuple(deltas),
                             tuple(value_trace), converged, it.t, final)
 
@@ -147,17 +145,14 @@ def _worst_case_value(game: StochasticGame, policy: StationaryPolicy, gamma: flo
                       player: int, tol: float) -> np.ndarray:
     """Discounted value of `policy` for `player` against a minimizing
     opponent: value iteration on the induced single-agent problem."""
-    n_states = game.n_states
-    if player == 1:
-        # opponent picks columns; induced reward/transition per column j
-        rewards = np.stack([policy.probs(s) @ game.payoffs1[s] for s in range(n_states)])
-        trans = np.stack([np.einsum("i,ijs->js", policy.probs(s), game.transitions[s])
-                          for s in range(n_states)])
+    probs = policy.dense(game.n_states)
+    if player == 1:  # opponent picks columns; induced reward/transition per column j
+        rewards = (probs[:, None, :] @ game.payoffs1)[:, 0]
+        trans = np.einsum("si,sijt->sjt", probs, game.transitions)
     else:
-        rewards = np.stack([game.payoffs2[s] @ policy.probs(s) for s in range(n_states)])
-        trans = np.stack([np.einsum("j,ijs->is", policy.probs(s), game.transitions[s])
-                          for s in range(n_states)])
-    w = np.zeros(n_states)
+        rewards = (game.payoffs2 @ probs[:, :, None])[..., 0]
+        trans = np.einsum("sj,sijt->sit", probs, game.transitions)
+    w = np.zeros(game.n_states)
     # stop once the remaining drift gamma*change/(1-gamma) is below tol
     threshold = tol * (1.0 - gamma) / gamma if gamma > 0 else 0.0
     for _ in range(_CERTIFICATE_MAX_SWEEPS):
@@ -180,7 +175,7 @@ def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
     policy); positive means the claim exceeds what the policy guarantees.
     Converged zero-sum runs should show shortfalls <= ~1e-6.
     """
-    _check_gamma(gamma)
+    _check_settings(gamma, tol)
     if start is None:
         start = game.start_state
     claimed1 = np.asarray(claimed1, dtype=float).reshape(-1)
@@ -224,7 +219,7 @@ def nash_mode_probe(game: StochasticGame, gamma: float,
     trajectory: list[ProbeIteration] = []
     deltas: list[float] = []
     fingerprints: dict[bytes, int] = {}
-    for it in _sweeps(game, gamma, selection, max_iter):
+    for it in _sweeps(game, gamma, selection, max_iter, tol):
         trajectory.append(ProbeIteration(it.t, it.delta, it.values1, it.values2,
                                          it.profiles))
         if it.t:

@@ -32,7 +32,9 @@ class NodeBudgetExceeded(SgError):
 
 
 class MissingPolicyEntry(SgError, KeyError):
-    """A time-dependent policy has no strategy for a queried (state, t)."""
+    """A policy has no strategy for a queried (state, t) or state."""
+
+    __str__ = Exception.__str__  # KeyError's would quote the message
 
 
 class GameFileError(SgError, ValueError):

@@ -15,6 +15,10 @@ Conventions: a horizon-H run plays exactly H stages; time-remaining t runs
 over 0..H-1 (t counts the stages left after the current one).  Backup
 values are undiscounted payoff sums; everything reported externally
 (policy values, certificate gaps) is a per-stage average, i.e. sum / H.
+
+Policies are (n_states, horizon, n_actions) strategy arrays with all-NaN
+rows where no strategy is stored; the certificate DPs sweep all states at
+once and raise `MissingPolicyEntry` on such a row.
 """
 
 from __future__ import annotations
@@ -95,11 +99,10 @@ def finite_vi(game: StochasticGame, horizon: int,
         levels.append(level)
 
     table = BackupTable(horizon, q1, q2, tuple(zip(*levels)))
-    pol1 = TimeDependentPolicy(horizon, n1, {
-        (s, t): levels[t][s].row.probs for s in range(n_states) for t in range(horizon)})
-    pol2 = TimeDependentPolicy(horizon, n2, {
-        (s, t): levels[t][s].col.probs for s in range(n_states) for t in range(horizon)})
-    return FiniteVIResult(pol1, pol2, table)
+    rows = [[p.row.probs for p in per_state] for per_state in table.profiles]
+    cols = [[p.col.probs for p in per_state] for per_state in table.profiles]
+    return FiniteVIResult(TimeDependentPolicy(horizon, n1, rows),
+                          TimeDependentPolicy(horizon, n2, cols), table)
 
 
 def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
@@ -109,24 +112,16 @@ def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
     if start is None:
         start = game.start_state
     n_states = game.n_states
-    w1 = np.zeros(n_states)
-    w2 = np.zeros(n_states)
+    a, b = policy1.dense(n_states, horizon), policy2.dense(n_states, horizon)
+    w1 = w2 = np.zeros(n_states)
     for t in range(horizon):
-        new1 = np.zeros(n_states)
-        new2 = np.zeros(n_states)
-        for s in range(n_states):
-            joint = np.outer(policy1.probs(s, t), policy2.probs(s, t))
-            stage1 = game.payoffs1[s]
-            stage2 = game.payoffs2[s]
-            if t == 0:
-                new1[s] = np.sum(joint * stage1)
-                new2[s] = np.sum(joint * stage2)
-            else:
-                cont1 = game.transitions[s] @ w1
-                cont2 = game.transitions[s] @ w2
-                new1[s] = np.sum(joint * (stage1 + cont1))
-                new2[s] = np.sum(joint * (stage2 + cont2))
-        w1, w2 = new1, new2
+        joint = (a[:, t, :, None] * b[:, t, None, :]).reshape(n_states, -1)
+        q1, q2 = game.payoffs1, game.payoffs2
+        if t > 0:
+            q1 = q1 + game.transitions @ w1
+            q2 = q2 + game.transitions @ w2
+        w1 = (joint * q1.reshape(n_states, -1)).sum(axis=1)
+        w2 = (joint * q2.reshape(n_states, -1)).sum(axis=1)
     return float(w1[start]) / horizon, float(w2[start]) / horizon
 
 
@@ -144,27 +139,20 @@ def best_response_dp(game: StochasticGame, opponent: TimeDependentPolicy,
         start = game.start_state
     n_states = game.n_states
     n_mine = game.n_row_actions if player == 1 else game.n_col_actions
+    if player == 1:  # reply: each own action's payoff against opp at t, per state
+        mine, reply = game.payoffs1, lambda q, opp_t: (q @ opp_t[:, :, None])[..., 0]
+    else:
+        mine, reply = game.payoffs2, lambda q, opp_t: (opp_t[:, None, :] @ q)[:, 0]
+    opp = opponent.dense(n_states, horizon)
     best = np.zeros(n_states)
-    table: dict[tuple[int, int], np.ndarray] = {}
+    actions = np.zeros((n_states, horizon), dtype=np.int64)
     for t in range(horizon):
-        new = np.zeros(n_states)
-        for s in range(n_states):
-            opp = opponent.probs(s, t)
-            if player == 1:
-                payoff = game.payoffs1[s] @ opp
-                if t > 0:
-                    payoff = payoff + (game.transitions[s] @ best) @ opp
-            else:
-                payoff = opp @ game.payoffs2[s]
-                if t > 0:
-                    payoff = payoff + opp @ (game.transitions[s] @ best)
-            action = int(np.argmax(payoff))
-            probs = np.zeros(n_mine)
-            probs[action] = 1.0
-            table[(s, t)] = probs
-            new[s] = payoff[action]
-        best = new
-    policy = TimeDependentPolicy(horizon, n_mine, table)
+        payoff = reply(mine, opp[:, t])
+        if t > 0:
+            payoff = payoff + reply(game.transitions @ best, opp[:, t])
+        actions[:, t] = payoff.argmax(axis=1)
+        best = payoff.max(axis=1)
+    policy = TimeDependentPolicy(horizon, n_mine, np.eye(n_mine)[actions])
     return policy, float(best[start]) / horizon
 
 

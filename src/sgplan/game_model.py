@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingPolicyEntry, SgError
-from .matrix_games import MatrixGame, MixedStrategy
+from .matrix_games import MatrixGame
 
 
 @dataclass(frozen=True)
@@ -195,62 +195,80 @@ def as_generative(game: StochasticGame, check: bool = True) -> ExplicitGenerativ
     return ExplicitGenerativeModel(game)
 
 
-class TimeDependentPolicy:
-    """One player's map (state, time-remaining) -> mixed strategy."""
+class _DensePolicy:
+    """Strategies in one read-only array, indexed by a key (a state, or a
+    state and t) and then by action; an all-NaN row marks a missing key."""
 
-    def __init__(self, horizon: int, n_actions: int, table: dict[tuple[int, int], np.ndarray]):
+    def _store(self, strategies: np.ndarray) -> None:
+        bad = ~np.isnan(strategies).all(axis=-1) & (
+            ~np.all(strategies >= 0.0, axis=-1)  # also catches NaN
+            | (np.abs(strategies.sum(axis=-1) - 1.0) > 1e-12))
+        if bad.any():
+            where = tuple(int(k) for k in np.argwhere(bad)[0])
+            raise ValueError(f"policy entry at {where} is not a probability vector: "
+                             f"{strategies[where]}")
+        strategies.setflags(write=False)
+        self.strategies = strategies
+
+    def probs(self, *key) -> np.ndarray:
+        """The strategy stored at `key`; raises MissingPolicyEntry if none."""
+        if (all(0 <= k < n for k, n in zip(key, self.strategies.shape))
+                and not np.isnan(self.strategies[key]).all()):
+            return self.strategies[key]
+        raise MissingPolicyEntry(self._missing.format(*key))
+
+    def dense(self, *shape) -> np.ndarray:
+        """The strategies of every key below `shape` at once; raises
+        MissingPolicyEntry at the first missing key in sorted order."""
+        block = self.strategies[tuple(slice(n) for n in shape)]
+        if block.shape[:-1] != shape or np.isnan(block).any():
+            for key in np.ndindex(*shape):
+                self.probs(*key)
+        return block
+
+
+class TimeDependentPolicy(_DensePolicy):
+    """One player's map (state, time-remaining) -> mixed strategy, stored
+    as an (n_states, horizon, n_actions) array.  `table` is such an array
+    or a dict {(s, t): probs}, converted here with one state past the
+    largest key and all-NaN rows where no key is given."""
+
+    _missing = "no strategy stored for (state={}, t={})"
+
+    def __init__(self, horizon: int, n_actions: int, table):
         self.horizon = horizon
-        self.n_actions = n_actions
-        self._table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-        for (s, t), probs in self._table.items():
-            MixedStrategy(probs)  # reject invalid entries eagerly
-            if probs.size != n_actions:
-                raise DimensionMismatch(
-                    f"policy entry at {(s, t)} has {probs.size} actions, expected {n_actions}")
-
-    def probs(self, state: int, t: int) -> np.ndarray:
-        try:
-            return self._table[(state, t)]
-        except KeyError:
-            raise MissingPolicyEntry(f"no strategy stored for (state={state}, t={t})") from None
-
-    def strategy(self, state: int, t: int) -> MixedStrategy:
-        return MixedStrategy(self.probs(state, t))
+        if isinstance(table, dict):
+            rows = np.full((max((s for s, _ in table), default=-1) + 1, horizon, n_actions), np.nan)
+            for (s, t), probs in table.items():
+                if s < 0 or not 0 <= t < horizon or np.shape(probs) != (n_actions,):
+                    raise DimensionMismatch(f"policy entry {(s, t)} of shape {np.shape(probs)} "
+                                            f"needs state >= 0, t < {horizon}, {n_actions} actions")
+                rows[s, t] = probs
+            table = rows
+        strategies = np.array(table, dtype=float)
+        if strategies.shape[1:] != (horizon, n_actions):
+            raise DimensionMismatch(f"policy array has shape {strategies.shape}, "
+                                    f"expected (n_states, {horizon}, {n_actions})")
+        self._store(strategies)
 
     def entries(self):
         """Stored (state, t, probs) triples, sorted for stable serialization."""
-        for (s, t) in sorted(self._table):
-            yield s, t, self._table[(s, t)]
-
-    def __contains__(self, key):
-        return key in self._table
+        for s, t in np.argwhere(~np.isnan(self.strategies).all(axis=-1)).tolist():
+            yield s, t, self.strategies[s, t]
 
 
-class StationaryPolicy:
-    """One player's map state -> mixed strategy (time-independent)."""
+class StationaryPolicy(_DensePolicy):
+    """One player's map state -> mixed strategy (time-independent), from
+    an (n_states, n_actions) array."""
 
-    def __init__(self, table: dict[int, np.ndarray]):
-        self._table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
-        for s, probs in self._table.items():
-            MixedStrategy(probs)
+    _missing = "no strategy stored for state {}"
 
-    def probs(self, state: int) -> np.ndarray:
-        try:
-            return self._table[state]
-        except KeyError:
-            raise MissingPolicyEntry(f"no strategy stored for state {state}") from None
-
-    def strategy(self, state: int) -> MixedStrategy:
-        return MixedStrategy(self.probs(state))
-
-    def as_time_dependent(self, horizon: int) -> TimeDependentPolicy:
-        n = len(next(iter(self._table.values())))
-        table = {(s, t): p for s, p in self._table.items() for t in range(horizon)}
-        return TimeDependentPolicy(horizon, n, table)
-
-    def entries(self):
-        for s in sorted(self._table):
-            yield s, self._table[s]
+    def __init__(self, strategies):
+        strategies = np.array(strategies, dtype=float)
+        if strategies.ndim != 2:
+            raise DimensionMismatch(f"policy array has shape {strategies.shape}, "
+                                    f"expected (n_states, n_actions)")
+        self._store(strategies)
 
 
 def random_game(n_states: int, n_row_actions: int, n_col_actions: int,

@@ -8,6 +8,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -24,17 +25,8 @@ FINITE_TRACE_HEADER = ("t", "state", "value1", "value2")
 
 
 def save_game(game: StochasticGame, path) -> None:
-    transitions = []
-    for s in range(game.n_states):
-        per_state = []
-        for i in range(game.n_row_actions):
-            per_row = []
-            for j in range(game.n_col_actions):
-                pvec = game.transitions[s, i, j]
-                per_row.append([{"to": int(s2), "p": float(pvec[s2])}
-                                for s2 in np.nonzero(pvec)[0]])
-            per_state.append(per_row)
-        transitions.append(per_state)
+    transitions = [[[[{"to": int(s2), "p": float(pvec[s2])} for s2 in np.nonzero(pvec)[0]]
+                     for pvec in row] for row in per_state] for per_state in game.transitions]
     doc = {
         "version": GAME_FILE_VERSION,
         "n_states": game.n_states,
@@ -95,17 +87,14 @@ def load_game(path) -> StochasticGame:
     raw_transitions = _require(doc, "transitions")
     transitions = np.zeros((n_states, n1, n2, n_states))
     try:
-        for s in range(n_states):
-            for i in range(n1):
-                for j in range(n2):
-                    for entry in raw_transitions[s][i][j]:
-                        to = int(entry["to"])
-                        p = float(entry["p"])
-                        if not 0 <= to < n_states:
-                            raise GameFileError(
-                                f"{path}: transition at (s={s}, i={i}, j={j}) "
-                                f"points to invalid state {to}")
-                        transitions[s, i, j, to] += p
+        for s, i, j in itertools.product(range(n_states), range(n1), range(n2)):
+            for entry in raw_transitions[s][i][j]:
+                to = int(entry["to"])
+                p = float(entry["p"])
+                if not 0 <= to < n_states:
+                    raise GameFileError(f"{path}: transition at (s={s}, i={i}, j={j}) "
+                                        f"points to invalid state {to}")
+                transitions[s, i, j, to] += p
     except (KeyError, IndexError, TypeError) as exc:
         raise GameFileError(f"{path}: transitions are malformed: {exc!r}") from exc
 
@@ -144,6 +133,8 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
 
 
 def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
+    """Parse a policy file whose table is complete: every (state, t) with
+    0 <= state <= the largest state and 0 <= t < horizon, exactly once."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -154,19 +145,23 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     entries = _require(doc, "entries")
     if not entries:
         raise GameFileError(f"{path}: policy file has no entries")
-    table1 = {}
-    table2 = {}
     try:
-        for entry in entries:
-            key = (int(entry["state"]), int(entry["t"]))
-            table1[key] = np.array(entry["row_probs"], dtype=float)
-            table2[key] = np.array(entry["col_probs"], dtype=float)
+        keys = [(int(entry["state"]), int(entry["t"])) for entry in entries]
+        halves = [[np.array(entry[half], dtype=float) for entry in entries]
+                  for half in ("row_probs", "col_probs")]
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFileError(f"{path}: policy entries are malformed: {exc!r}") from exc
-    n1 = len(next(iter(table1.values())))
-    n2 = len(next(iter(table2.values())))
-    return (TimeDependentPolicy(horizon, n1, table1),
-            TimeDependentPolicy(horizon, n2, table2))
+    n_states = max(s for s, _ in keys) + 1
+    # sorted, the keys must step through the grid states x 0..horizon-1
+    grid = ((s, t) for s in range(n_states) for t in range(horizon))  # lazy: states may be huge
+    for key, want in itertools.zip_longest(sorted(keys), grid):
+        if key != want:
+            extra = want is None or (key is not None and key < want)
+            s, t = key if extra else want
+            problem = "is repeated or out of range" if extra else "is missing"
+            raise GameFileError(f"{path}: policy entry (state={s}, t={t}) {problem}")
+    return tuple(TimeDependentPolicy(horizon, rows[0].size, dict(zip(keys, rows)))
+                 for rows in halves)
 
 
 def _format_cell(value) -> str:

@@ -49,8 +49,8 @@ class MixedStrategy:
         probs = np.array(self.probs, dtype=float)  # own copy; callers keep theirs writable
         if probs.ndim != 1 or probs.size == 0:
             raise DimensionMismatch(f"strategy must be a non-empty vector, got shape {probs.shape}")
-        if np.any(probs < 0.0):
-            raise ValueError(f"negative probability in strategy: {probs}")
+        if not np.all(probs >= 0.0):  # also rejects NaN
+            raise ValueError(f"negative or NaN probability in strategy: {probs}")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"strategy probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "probs", _frozen(probs))

@@ -89,6 +89,40 @@ class TestPolicyFiles:
                 np.testing.assert_array_equal(pol1.probs(s, t), result.policy1.probs(s, t))
                 np.testing.assert_array_equal(pol2.probs(s, t), result.policy2.probs(s, t))
 
+    @staticmethod
+    def write_entries(path, horizon, keys, row_probs=(1.0, 0.0)):
+        entries = [{"state": s, "t": t, "row_probs": list(row_probs),
+                    "col_probs": [0.5, 0.5]} for s, t in keys]
+        path.write_text(json.dumps({"horizon": horizon, "entries": entries}))
+
+    def test_complete_table_loads(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 2, [(1, 1), (0, 0), (1, 0), (0, 1)])
+        pol1, pol2 = load_policy_pair(path)
+        assert [(s, t) for s, t, _ in pol1.entries()] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert pol2.strategies.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("keys, message", [
+        ([(0, 0), (-1, 0)], r"\(state=-1, t=0\) is repeated or out of range"),
+        ([(0, 0), (0, 1), (0, 2)], r"\(state=0, t=2\) is repeated or out of range"),
+        ([(0, 0), (0, 1), (0, -1)], r"\(state=0, t=-1\) is repeated or out of range"),
+        ([(0, 0), (0, 1), (0, 0)], r"\(state=0, t=0\) is repeated or out of range"),
+        ([(0, 0), (0, 1), (1, 1)], r"\(state=1, t=0\) is missing"),
+        ([(0, 0), (0, 1), (10 ** 9, 0)], r"\(state=1, t=0\) is missing"),
+        ([(0, 0), (0, 2)], r"\(state=0, t=1\) is missing"),
+    ])
+    def test_malformed_table_rejected(self, tmp_path, keys, message):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 2, keys)
+        with pytest.raises(GameFileError, match=message):
+            load_policy_pair(path)
+
+    def test_nan_probability_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 1, [(0, 0)], row_probs=(float("nan"), 1.0))
+        with pytest.raises(ValueError, match="not a probability vector"):
+            load_policy_pair(path)
+
 
 class TestTraces:
     def test_non_finite_refused(self, tmp_path):
@@ -177,6 +211,32 @@ class TestCommands:
         assert r.returncode == 1
         assert "error:" in r.stderr and "max_iter" in r.stderr
         assert r.stdout == ""
+
+    def test_solve_discounted_rejects_negative_tol(self, game_file, tmp_path):
+        r = run_cli(["solve-discounted", "--game", "game.json", "--gamma", "0.5",
+                     "--tol", "-1", "--max-iter", "50"], tmp_path)
+        assert r.returncode == 1
+        assert "error:" in r.stderr and "tol" in r.stderr
+        assert r.stdout == ""
+
+    def test_certify_rejects_nan_policy(self, game_file, tmp_path):
+        entries = [{"state": s, "t": 0, "row_probs": [float("nan"), 1.0],
+                    "col_probs": [0.5, 0.5]} for s in range(3)]
+        (tmp_path / "p.json").write_text(json.dumps({"horizon": 1, "entries": entries}))
+        r = run_cli(["certify", "--game", "game.json", "--horizon", "1",
+                     "--policy", "p.json"], tmp_path)
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert r.stdout == ""
+
+    def test_certify_past_policy_horizon_names_entry(self, game_file, tmp_path):
+        r = run_cli(["solve-finite", "--game", "game.json", "--horizon", "6",
+                     "--out-policy", "p.json"], tmp_path)
+        assert r.returncode == 0
+        r = run_cli(["certify", "--game", "game.json", "--horizon", "7",
+                     "--policy", "p.json"], tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == "error: no strategy stored for (state=0, t=6)\n"
 
     def test_probe_nash_mode_runs(self, game_file, tmp_path):
         r = run_cli(["probe-nash-mode", "--game", "game.json", "--gamma", "0.5"],

@@ -72,6 +72,11 @@ class TestInfiniteVI:
             infinite_vi(repeated_mp, 0.5, max_iter=-3)
         assert infinite_vi(repeated_mp, 0.5, max_iter=0).iterations == 0
 
+    def test_negative_tol_rejected(self, repeated_mp):
+        with pytest.raises(ValueError, match="tol"):
+            infinite_vi(repeated_mp, 0.5, tol=-1.0)
+        assert infinite_vi(repeated_mp, 0.5, tol=0.0).converged
+
     def test_non_convergence_flagged_not_raised(self):
         game = random_game(3, 2, 2, 2, 1.0, seed=4, zero_sum=True)
         result = infinite_vi(game, 0.9, max_iter=2)
@@ -172,6 +177,13 @@ class TestSecurityCertificate:
                 security_certificate(game, result.policy1, result.policy2,
                                      gamma, result.values1, result.values2)
 
+    def test_negative_tol_rejected(self):
+        game = all_minus_one_game()
+        result = infinite_vi(game, 0.9)
+        with pytest.raises(ValueError, match="tol"):
+            security_certificate(game, result.policy1, result.policy2, 0.9,
+                                 result.values1, result.values2, tol=-1.0)
+
     def test_sweep_cap_raises(self, monkeypatch):
         game = all_minus_one_game()
         result = infinite_vi(game, 0.9)
@@ -225,3 +237,7 @@ class TestNashModeProbe:
     def test_negative_max_iter_rejected(self, repeated_pd):
         with pytest.raises(ValueError, match="max_iter"):
             nash_mode_probe(repeated_pd, 0.5, max_iter=-5)
+
+    def test_negative_tol_rejected(self, repeated_pd):
+        with pytest.raises(ValueError, match="tol"):
+            nash_mode_probe(repeated_pd, 0.5, tol=-1e-9)

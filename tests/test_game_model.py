@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sgplan import (MatrixGame, MissingPolicyEntry, StochasticGame,
-                    TimeDependentPolicy, as_generative, random_game,
-                    single_state_game, validate)
+from sgplan import (DimensionMismatch, MatrixGame, MissingPolicyEntry,
+                    StationaryPolicy, StochasticGame, TimeDependentPolicy,
+                    as_generative, random_game, single_state_game, validate)
 
 
 class TestValidation:
@@ -185,3 +185,59 @@ class TestPolicies:
     def test_invalid_strategy_rejected(self):
         with pytest.raises(ValueError):
             TimeDependentPolicy(1, 2, {(0, 0): np.array([0.5, 0.6])})
+
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -1), (0, 2)])
+    def test_key_out_of_range_rejected(self, key):
+        with pytest.raises(DimensionMismatch, match="needs state >= 0, t < 2, 2 actions"):
+            TimeDependentPolicy(2, 2, {key: np.array([1.0, 0.0])})
+
+    def test_wrong_action_count_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            TimeDependentPolicy(1, 2, {(0, 0): np.array([1.0, 0.0, 0.0])})
+        with pytest.raises(DimensionMismatch):
+            TimeDependentPolicy(1, 2, np.full((1, 1, 3), 1.0 / 3))
+        with pytest.raises(DimensionMismatch):
+            StationaryPolicy([1.0, 0.0])
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            TimeDependentPolicy(2, 2, {(0, 0): [1.0, 0.0], (0, 1): [np.nan, 1.0]})
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            TimeDependentPolicy(1, 2, [[[1.0, 0.0]], [[np.nan, 1.0]]])
+        with pytest.raises(ValueError, match=r"\(1,\)"):
+            StationaryPolicy([[0.5, 0.5], [1.0, np.nan]])
+
+    def test_nan_rows_are_gaps(self):
+        strategies = np.array([[[1.0, 0.0], [np.nan, np.nan]],
+                               [[0.5, 0.5], [0.0, 1.0]]])
+        pol = TimeDependentPolicy(2, 2, strategies)
+        assert [(s, t) for s, t, _ in pol.entries()] == [(0, 0), (1, 0), (1, 1)]
+        np.testing.assert_array_equal(pol.probs(1, 0), [0.5, 0.5])
+        with pytest.raises(MissingPolicyEntry, match=r"\(state=0, t=1\)"):
+            pol.probs(0, 1)
+        with pytest.raises(MissingPolicyEntry, match=r"\(state=0, t=1\)"):
+            pol.dense(2, 2)
+        assert pol.dense(2, 1).shape == (2, 1, 2)
+
+    def test_dict_and_array_forms_agree(self):
+        table = {(0, 0): [1.0, 0.0], (1, 1): [0.25, 0.75]}
+        pol = TimeDependentPolicy(2, 2, table)
+        assert pol.strategies.shape == (2, 2, 2)
+        again = TimeDependentPolicy(2, 2, pol.strategies)
+        np.testing.assert_array_equal(again.strategies, pol.strategies)
+        assert not pol.strategies.flags.writeable
+
+    def test_stationary_unknown_state_raises(self):
+        pol = StationaryPolicy([[1.0, 0.0], [np.nan, np.nan]])
+        np.testing.assert_array_equal(pol.probs(0), [1.0, 0.0])
+        for state in (-1, 1, 2):
+            with pytest.raises(MissingPolicyEntry, match=f"state {state}"):
+                pol.probs(state)
+        with pytest.raises(MissingPolicyEntry, match="state 1"):
+            pol.dense(2)
+
+    def test_missing_entry_message_is_plain(self):
+        pol = TimeDependentPolicy(1, 2, {(0, 0): [1.0, 0.0]})
+        with pytest.raises(MissingPolicyEntry) as info:
+            pol.probs(0, 1)
+        assert str(info.value) == "no strategy stored for (state=0, t=1)"

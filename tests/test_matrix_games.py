@@ -21,6 +21,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             MixedStrategy([1.2, -0.2])
 
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            MixedStrategy([np.nan, 1.0])
+
     def test_strategy_support(self):
         assert MixedStrategy([0.5, 0.5, 0.0]).support() == (0, 1)
 
