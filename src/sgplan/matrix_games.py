@@ -10,7 +10,10 @@ planners compose state by state.
 Support enumeration visits support pairs in a fixed canonical order --
 ascending (|support_row| + |support_col|, |support_row|, lexicographic row
 support, lexicographic column support) -- so that selection is a pure
-function of the matrix entries and golden tests are possible.
+function of the matrix entries and golden tests are possible.  A degenerate
+game can leave that order empty (its equilibria need supports of unequal
+size); selection then falls back to the vertex pairs of the best-response
+polytopes, in a fixed order too.
 """
 
 from __future__ import annotations
@@ -304,24 +307,83 @@ def _enumerate(game: MatrixGame, cap: int) -> Iterator[StrategyProfile]:
         raise EnumerationCapExceeded(
             f"support enumeration capped at {cap} actions per player, "
             f"game is {game.rows}x{game.cols}")
-    scale = max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
-    tol = SUPPORT_TOL * scale
-    for sup1, sup2 in _support_pairs(game.rows, game.cols):
-        profile = _profile_on_supports(game, sup1, sup2, tol)
-        if profile is None:
-            continue
+    tol = SUPPORT_TOL * _scale(game)
+    candidates = (_profile_on_supports(game, sup1, sup2, tol)
+                  for sup1, sup2 in _support_pairs(game.rows, game.cols))
+    yield from _verified(game, (p for p in candidates if p is not None))
+
+
+def _scale(game: MatrixGame) -> float:
+    return max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
+
+
+def _verified(game: MatrixGame, candidates: Iterator[StrategyProfile]) -> Iterator[StrategyProfile]:
+    scale = _scale(game)
+    for profile in candidates:
         g1, g2 = epsilon_nash_gap(game, profile)
         if max(g1, g2) <= VERIFY_TOL * scale:
             yield profile
 
 
+def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]]:
+    """Nonzero vertices of the bounded polytope {z : g z <= h}, each with the
+    set of its tight rows, in order of first appearance over the square
+    subsystems of rows in combinations order."""
+    out = []
+    seen = set()
+    for rows in itertools.combinations(range(g.shape[0]), g.shape[1]):
+        idx = np.asarray(rows)
+        z = _solve_linear(g[idx], h[idx])
+        if z is None or z.sum() <= SUPPORT_TOL or np.any(g @ z > h + SUPPORT_TOL):
+            continue
+        labels = frozenset(np.flatnonzero(np.abs(g @ z - h) <= SUPPORT_TOL).tolist())
+        if labels not in seen:
+            seen.add(labels)
+            out.append((np.where(z > SUPPORT_TOL, z, 0.0), labels))
+    return out
+
+
+def _vertex_pairs(game: MatrixGame) -> Iterator[StrategyProfile]:
+    """Extreme equilibria as completely labelled vertex pairs of the two
+    best-response polytopes (Avis, Rosenberg, Savani & von Stengel, 2010).
+
+    The fallback for degenerate games, where an equilibrium may need
+    supports of unequal size. Every game has an extreme equilibrium, so this
+    yields at least one; pairs come row vertex first, in vertex order.
+    """
+    n1, n2 = game.rows, game.cols
+    m1, m2 = game.payoff1, game.payoff2
+
+    def positive(m):  # same equilibria, entries in [1, 2]
+        return (m - m.min()) / ((m.max() - m.min()) or 1.0) + 1.0
+
+    # labels 0..n1-1 are the rows, n1..n1+n2-1 the columns, in both polytopes
+    # P = {x >= 0, B^T x <= 1}: x_i = 0 carries label i, (B^T x)_j = 1 label n1+j
+    row_g = np.concatenate([-np.eye(n1), positive(m2).T])
+    row_h = np.concatenate([np.zeros(n1), np.ones(n2)])
+    # Q = {A y <= 1, y >= 0}: (A y)_i = 1 carries label i, y_j = 0 label n1+j
+    col_g = np.concatenate([positive(m1), -np.eye(n2)])
+    col_h = np.concatenate([np.ones(n1), np.zeros(n2)])
+    everything = frozenset(range(n1 + n2))
+    col_vertices = _vertices(col_g, col_h)
+    for x, x_labels in _vertices(row_g, row_h):
+        for y, y_labels in col_vertices:
+            if x_labels | y_labels == everything:
+                row = MixedStrategy(x / x.sum())
+                col = MixedStrategy(y / y.sum())
+                yield StrategyProfile(row, col, float(row.probs @ m1 @ col.probs),
+                                      float(row.probs @ m2 @ col.probs))
+
+
 def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[StrategyProfile]:
     """All Nash equilibria found by support enumeration, canonical order.
 
-    Raises EnumerationCapExceeded above the size cap and DegenerateGame if
-    no candidate survives verification.
+    When a degenerate game leaves support enumeration empty, the extreme
+    equilibria found by the vertex fallback instead. Raises
+    EnumerationCapExceeded above the size cap and DegenerateGame if no
+    candidate of either survives verification.
     """
-    profiles = list(_enumerate(game, cap))
+    profiles = list(_enumerate(game, cap)) or list(_verified(game, _vertex_pairs(game)))
     if not profiles:
         raise DegenerateGame(
             f"no equilibrium survived verification at tolerance {VERIFY_TOL} "
@@ -330,11 +392,12 @@ def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[Strateg
 
 
 def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile:
-    """First equilibrium in the canonical support order.
+    """First equilibrium in the canonical support order, else the first
+    vertex pair of the degenerate fallback.
 
     Deterministic: entrywise-identical inputs give bit-identical output.
     """
-    for profile in _enumerate(game, cap):
+    for profile in itertools.chain(_enumerate(game, cap), _verified(game, _vertex_pairs(game))):
         return profile
     raise DegenerateGame(
         f"no equilibrium survived verification at tolerance {VERIFY_TOL} "

@@ -242,6 +242,46 @@ class TestEnumerateNash:
             enumerate_nash(game)
         enumerate_nash(game, cap=9)
 
+    # degenerate games where every equilibrium needs supports of unequal size,
+    # so only the vertex-pair fallback finds one
+    DEGENERATE = [
+        ([[-1, -1, 0, 0], [0, 0, 0, -1], [0, -1, -1, 0]],
+         [[1, 0, -1, 0], [0, 0, 0, 1], [0, 2, 3, 0]]),
+        ([[0, 1, -1], [2, -3, -2], [-3, 2, -1]],
+         [[0, 3, 2], [0, 2, 1], [2, -1, 1]]),
+        ([[1, 1, 3], [-1, 3, 1], [3, -2, 2]],
+         [[-1, -1, -3], [1, -3, -1], [-3, 2, -2]]),
+    ]
+
+    @pytest.mark.parametrize("m1,m2", DEGENERATE)
+    def test_degenerate_game_falls_back_to_vertex_pairs(self, m1, m2):
+        game = MatrixGame(m1, m2)
+        profiles = enumerate_nash(game)
+        first = nash_select(game)
+        assert first.row.probs.tolist() == profiles[0].row.probs.tolist()
+        assert first.col.probs.tolist() == profiles[0].col.probs.tolist()
+        for prof in profiles:
+            g1, g2 = nash_gap_exact(m1, m2, prof.row.probs, prof.col.probs)
+            assert float(max(g1, g2)) <= 1e-9
+            assert prof.value1 == pytest.approx(expected_payoff(game, 1, prof.row, prof.col))
+        if np.array_equal(game.payoff2, -game.payoff1):
+            value, _ = lp_zero_sum_value(m1)
+            assert profiles[0].value1 == pytest.approx(value, abs=1e-9)
+
+    def test_vertex_fallback_pins_first_equilibrium(self):
+        prof = nash_select(MatrixGame(*self.DEGENERATE[1]))
+        assert prof.row.probs.tolist() == pytest.approx([1 / 3, 0.0, 2 / 3], abs=1e-12)
+        assert prof.col.probs.tolist() == [0.0, 0.0, 1.0]
+
+    def test_integer_games_never_degenerate(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            m1 = rng.integers(-2, 3, (3, 3))
+            m2 = -m1 if rng.integers(2) else rng.integers(-2, 3, (3, 3))
+            prof = nash_select(MatrixGame(m1, m2))
+            g1, g2 = nash_gap_exact(m1.tolist(), m2.tolist(), prof.row.probs, prof.col.probs)
+            assert float(max(g1, g2)) <= 1e-9
+
 
 class TestSelection:
     def test_battle_of_sexes_canonical_first(self, battle_of_sexes):
