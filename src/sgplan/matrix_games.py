@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DegenerateGame, DimensionMismatch, EnumerationCapExceeded
+from .errors import DegenerateGame, DimensionMismatch, EnumerationCapExceeded, SgError
 from .simplex import maximin
 
 #: probabilities above this count as support membership; feasibility slack.
@@ -33,6 +33,9 @@ SUPPORT_TOL = 1e-9
 VERIFY_TOL = 1e-8
 #: largest per-player action count support enumeration will attempt.
 ENUMERATION_CAP = 8
+#: a maximin solution with a larger duality gap (times the payoff scale)
+#: is replaced by the zero-sum equilibrium from enumeration.
+_DUALITY_TOL = 1e-9
 #: linear systems with a worse condition estimate are discarded.
 _COND_LIMIT = 1e12
 
@@ -179,13 +182,34 @@ def epsilon_nash_gap(game: MatrixGame, profile: StrategyProfile) -> tuple[float,
     return g1, g2
 
 
+def _maximin(matrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """The simplex `maximin`, certified by its duality gap.
+
+    A near-singular basis can leave the simplex short of the optimum (or
+    with no strategy at all); the zero-sum equilibrium from `nash_select`,
+    whose row strategy is a maximin strategy, then takes its place.
+    """
+    mat = np.asarray(matrix, dtype=float)
+    try:
+        alpha, beta, value = maximin(mat)
+    except SgError:
+        if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
+            raise  # malformed input, not a numerical failure
+    else:
+        gap = (mat @ beta).max() - value
+        if gap <= _DUALITY_TOL or gap <= _DUALITY_TOL * np.abs(mat).max():
+            return alpha, beta, value
+    profile = nash_select(MatrixGame.zero_sum(mat))
+    return profile.row.probs, profile.col.probs, float((profile.row.probs @ mat).min())
+
+
 def solve_zero_sum(matrix) -> StrategyProfile:
     """Maximin/minimax solution of the zero-sum game (matrix, -matrix).
 
     value1 is the game value (the payoff the row strategy guarantees),
     value2 its negation; the returned pair is a Nash pair of the game.
     """
-    alpha, beta, value = maximin(matrix)
+    alpha, beta, value = _maximin(matrix)
     return StrategyProfile(MixedStrategy(alpha), MixedStrategy(beta), value, -value)
 
 
@@ -196,9 +220,9 @@ def security_level(game: MatrixGame, player: int) -> tuple[MixedStrategy, float]
     player, transpose(payoff2) for the column player.
     """
     if player == 1:
-        alpha, _, value = maximin(game.payoff1)
+        alpha, _, value = _maximin(game.payoff1)
     elif player == 2:
-        alpha, _, value = maximin(game.payoff2.T)
+        alpha, _, value = _maximin(game.payoff2.T)
     else:
         raise ValueError(f"player must be 1 or 2, got {player}")
     return MixedStrategy(alpha), value

@@ -134,6 +134,24 @@ class TestSolveZeroSum:
             g1, g2 = epsilon_nash_gap(game, prof)
             assert max(g1, g2) <= 1e-9
 
+    @pytest.mark.parametrize("mat", [
+        [[0, 0, -1e-10], [0, 1, 0], [1, 0, 1]],  # simplex stopped 2.4e-7 short
+        [[0, 0, -1e-10], [0, 0, 0], [1, 1, 1]],  # simplex found no strategy
+        [[-9, 8e-8, -2e-8], [8e-8, 2e-8, 4], [1e-7, -6e-8, 4e-8]],  # Nash gap 6e-8
+    ])
+    def test_near_singular_is_exact_equilibrium(self, mat):
+        # the exact-rational gap is the oracle here: linprog's own tolerances
+        # are coarser than these 1e-8 entries
+        for m in (np.array(mat, dtype=float), -np.array(mat, dtype=float).T):
+            prof = solve_zero_sum(m)
+            g1, g2 = nash_gap_exact(m.tolist(), (-m).tolist(), prof.row.probs, prof.col.probs)
+            assert float(max(g1, g2)) <= 1e-12
+            game = MatrixGame.zero_sum(m)
+            _, s1 = security_level(game, 1)
+            _, s2 = security_level(game, 2)
+            assert s1 == pytest.approx(prof.value1, abs=1e-12)
+            assert s2 == pytest.approx(-prof.value1, abs=1e-12)
+
     def test_deterministic(self):
         mat = np.random.default_rng(3).uniform(-1, 1, (4, 5))
         a = solve_zero_sum(mat)
