@@ -16,6 +16,10 @@ over 0..H-1 (t counts the stages left after the current one).  Backup
 values are undiscounted payoff sums; everything reported externally
 (policy values, certificate gaps) is a per-stage average, i.e. sum / H.
 
+`select_level` is the one place a selection function meets backup games:
+`backup_sweep` here, and the sampler and exact oracle of `sparse_planner`,
+hand it one level of backup pairs at a time.
+
 Policies are (n_states, horizon, n_actions) strategy arrays with all-NaN
 rows where no strategy is stored; the certificate DPs sweep all states at
 once and raise `MissingPolicyEntry` on such a row.
@@ -59,13 +63,27 @@ class FiniteVIResult:
     table: BackupTable
 
 
+def select_level(selection: SelectionFunction, q1, q2, states, t: int):
+    """Select an equilibrium of each backup pair (q1[k], q2[k]) of a level:
+    (profiles, values1, values2) in level order.  A selection error at
+    pair k becomes SelectionFailure(states[k], t)."""
+    profiles = []
+    for k, s in enumerate(states):
+        try:
+            profiles.append(selection(MatrixGame(q1[k], q2[k])))
+        except SgError as exc:
+            raise SelectionFailure(int(s), t, exc) from exc
+    return (tuple(profiles), np.array([p.value1 for p in profiles]),
+            np.array([p.value2 for p in profiles]))
+
+
 def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
                  selection: SelectionFunction, t: int):
     """Back up every state once and select an equilibrium of each backup pair.
 
     Q_k = M_k + gamma * (P @ v_k) over all states at once, or the stage
     games themselves when v1 is None.  Returns (q1, q2, profiles, values1,
-    values2) in state order; a selection error becomes SelectionFailure(s, t).
+    values2) in state order.
     """
     if v1 is None:
         q1, q2 = game.payoffs1, game.payoffs2
@@ -73,22 +91,18 @@ def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
         # gamma * (P @ v), not P @ (gamma * v): the output bits depend on it
         q1 = game.payoffs1 + gamma * (game.transitions @ v1)
         q2 = game.payoffs2 + gamma * (game.transitions @ v2)
-    profiles = []
-    for s in range(game.n_states):
-        try:
-            profiles.append(selection(MatrixGame(q1[s], q2[s])))
-        except SgError as exc:
-            raise SelectionFailure(s, t, exc) from exc
-    values1 = np.array([p.value1 for p in profiles])
-    values2 = np.array([p.value2 for p in profiles])
-    return q1, q2, tuple(profiles), values1, values2
+    return (q1, q2) + select_level(selection, q1, q2, range(game.n_states), t)
+
+
+def _check_horizon(horizon: int) -> None:
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
 def finite_vi(game: StochasticGame, horizon: int,
               selection: SelectionFunction = nash_select) -> FiniteVIResult:
     """Nash value iteration over backup matrices for an H-stage game."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_horizon(horizon)
     n_states, n1, n2 = game.n_states, game.n_row_actions, game.n_col_actions
     q1 = np.zeros((n_states, horizon, n1, n2))
     q2 = np.zeros((n_states, horizon, n1, n2))
@@ -109,6 +123,7 @@ def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
                  policy2: TimeDependentPolicy, horizon: int,
                  start: int | None = None) -> tuple[float, float]:
     """Exact per-stage average returns of a fixed policy pair."""
+    _check_horizon(horizon)
     if start is None:
         start = game.start_state
     n_states = game.n_states
@@ -135,6 +150,7 @@ def best_response_dp(game: StochasticGame, opponent: TimeDependentPolicy,
     by the lowest action index.  Returns the policy and its per-stage
     average value from `start`.
     """
+    _check_horizon(horizon)
     if start is None:
         start = game.start_state
     n_states = game.n_states

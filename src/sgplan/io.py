@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import GameFileError
+from .errors import DimensionMismatch, GameFileError, MissingPolicyEntry
 from .game_model import StochasticGame, TimeDependentPolicy, validate
 
 GAME_FILE_VERSION = 1
@@ -118,15 +118,19 @@ def load_game(path) -> StochasticGame:
 
 def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
                      path) -> None:
-    entries = []
-    for s, t, row_probs in policy1.entries():
-        entries.append({
-            "state": s,
-            "t": t,
-            "row_probs": [float(p) for p in row_probs],
-            "col_probs": [float(p) for p in policy2.probs(s, t)],
-        })
-    doc = {"horizon": policy1.horizon, "entries": entries}
+    """Write a complete table, as `load_policy_pair` requires; before the
+    file is opened, halves of different (states, horizon) raise
+    DimensionMismatch and a gap raises MissingPolicyEntry."""
+    shape = policy1.strategies.shape[:2]
+    if policy2.strategies.shape[:2] != shape:
+        raise DimensionMismatch(f"policy halves differ in (states, horizon): "
+                                f"{shape} vs {policy2.strategies.shape[:2]}")
+    if not shape[0]:
+        raise MissingPolicyEntry("policy has no entries")
+    rows, cols = policy1.dense(*shape), policy2.dense(*shape)
+    entries = [{"state": s, "t": t, "row_probs": rows[s, t].tolist(),
+                "col_probs": cols[s, t].tolist()} for s, t in np.ndindex(*shape)]
+    doc = {"horizon": shape[1], "entries": entries}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

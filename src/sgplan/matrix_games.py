@@ -326,17 +326,6 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float) -> StrategyPr
     return StrategyProfile(row, col, value1, value2)
 
 
-def _enumerate(game: MatrixGame, cap: int) -> Iterator[StrategyProfile]:
-    if game.rows > cap or game.cols > cap:
-        raise EnumerationCapExceeded(
-            f"support enumeration capped at {cap} actions per player, "
-            f"game is {game.rows}x{game.cols}")
-    tol = SUPPORT_TOL * _scale(game)
-    candidates = (_profile_on_supports(game, sup1, sup2, tol)
-                  for sup1, sup2 in _support_pairs(game.rows, game.cols))
-    yield from _verified(game, (p for p in candidates if p is not None))
-
-
 def _scale(game: MatrixGame) -> float:
     return max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
 
@@ -399,6 +388,28 @@ def _vertex_pairs(game: MatrixGame) -> Iterator[StrategyProfile]:
                                       float(row.probs @ m2 @ col.probs))
 
 
+def _equilibria(game: MatrixGame, cap: int) -> Iterator[StrategyProfile]:
+    """The one source of `enumerate_nash` and `nash_select`."""
+    if game.rows > cap or game.cols > cap:
+        raise EnumerationCapExceeded(
+            f"support enumeration capped at {cap} actions per player, "
+            f"game is {game.rows}x{game.cols}")
+    tol = SUPPORT_TOL * _scale(game)
+    candidates = (_profile_on_supports(game, sup1, sup2, tol)
+                  for sup1, sup2 in _support_pairs(game.rows, game.cols))
+    profiles = _verified(game, (p for p in candidates if p is not None))
+    first = next(profiles, None)
+    if first is None:
+        profiles = _verified(game, _vertex_pairs(game))
+        first = next(profiles, None)
+    if first is None:
+        raise DegenerateGame(
+            f"no equilibrium survived verification at tolerance {VERIFY_TOL} "
+            f"(support tolerance {SUPPORT_TOL}); the game is numerically degenerate")
+    yield first
+    yield from profiles
+
+
 def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[StrategyProfile]:
     """All Nash equilibria found by support enumeration, canonical order.
 
@@ -407,12 +418,7 @@ def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[Strateg
     EnumerationCapExceeded above the size cap and DegenerateGame if no
     candidate of either survives verification.
     """
-    profiles = list(_enumerate(game, cap)) or list(_verified(game, _vertex_pairs(game)))
-    if not profiles:
-        raise DegenerateGame(
-            f"no equilibrium survived verification at tolerance {VERIFY_TOL} "
-            f"(support tolerance {SUPPORT_TOL}); the game is numerically degenerate")
-    return profiles
+    return list(_equilibria(game, cap))
 
 
 def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile:
@@ -421,8 +427,4 @@ def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile
 
     Deterministic: entrywise-identical inputs give bit-identical output.
     """
-    for profile in itertools.chain(_enumerate(game, cap), _verified(game, _vertex_pairs(game))):
-        return profile
-    raise DegenerateGame(
-        f"no equilibrium survived verification at tolerance {VERIFY_TOL} "
-        f"(support tolerance {SUPPORT_TOL}); the game is numerically degenerate")
+    return next(_equilibria(game, cap))

@@ -21,6 +21,12 @@ draw is a second fixed mix of that seed.  Results are therefore a pure
 function of (model, state, t, m, seed) and invariant to the evaluation
 order of branches; both players' strategies come out of one shared run,
 which is what makes the induced policy pair a correlated near-equilibrium.
+
+The sampling-free oracle `exact_sparse_game` is level-synchronous too: it
+marks the states reachable at each level top-down, then backs them up from
+tt = 0.  Each expectation sums p(s') * value(s') over successors in
+ascending state order from 0.0, as a depth-first recursion would; `T @ v`
+sums in another order and changes the last bits of most nodes.
 """
 
 from __future__ import annotations
@@ -32,10 +38,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NodeBudgetExceeded, SgError, SelectionFailure
-from .finite_planner import nash_certificate
+from .errors import NodeBudgetExceeded
+from .finite_planner import _check_horizon, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
-from .matrix_games import MatrixGame, MixedStrategy, SelectionFunction, StrategyProfile, nash_select
+from .matrix_games import MixedStrategy, SelectionFunction, StrategyProfile, nash_select
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -175,19 +181,16 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             f"(root state={state}, t={t}, m={m})")
     base_cache: dict[int, StrategyProfile] = {}
 
-    def select(game: MatrixGame, s: int, tt: int) -> StrategyProfile:
-        try:
-            return selection(game)
-        except SgError as exc:
-            raise SelectionFailure(s, tt, exc) from exc
-
-    def base(s: int) -> StrategyProfile:
-        if s not in base_cache:
-            base_cache[s] = select(model.payoffs(s), s, 0)
-        return base_cache[s]
+    def base(states: list[int]) -> list[StrategyProfile]:
+        new = [s for s in states if s not in base_cache]
+        stages = [model.payoffs(s) for s in new]
+        profs, _, _ = select_level(selection, [g.payoff1 for g in stages],
+                                   [g.payoff2 for g in stages], new, 0)
+        base_cache.update(zip(new, profs))
+        return [base_cache[s] for s in states]
 
     if t == 0:
-        prof = base(state)
+        prof, = base([state])
         q1, q2 = root_stage.payoff1, root_stage.payoff2
     else:
         # top-down: the states of every internal level, root first
@@ -206,7 +209,7 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             block = slice(lo, lo + per_block)
             leaves, _ = _expand(model, last[block], seeds[block], 1, m)
             uniq, inverse = np.unique(leaves, return_inverse=True)
-            profs = [base(s) for s in uniq.tolist()]
+            profs = base(uniq.tolist())
             inverse = inverse.reshape(leaves.shape)
             means[0, block] = np.array([p.value1 for p in profs])[inverse].mean(axis=-1)
             means[1, block] = np.array([p.value2 for p in profs])[inverse].mean(axis=-1)
@@ -223,74 +226,51 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             stages = [model.payoffs(s) for s in uniq.tolist()]
             q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
             q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
-            values = np.empty((2, states.size))
-            for node, s in enumerate(states.tolist()):
-                prof = select(MatrixGame(q1[node], q2[node]), s, t - k)
-                values[:, node] = prof.value1, prof.value2
+            profs, v1, v2 = select_level(selection, q1, q2, states, t - k)
+            values = np.stack([v1, v2])
+        prof = profs[0]
         q1, q2 = q1[0], q2[0]
     q1.setflags(write=False)
     q2.setflags(write=False)
     return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), nodes)
 
 
-class ExactPlanner:
-    """Sampling-free twin of the sparse recursion: the per-branch average
-    is replaced by the exact expectation over successor states.  Memoised
-    per (state, t); matches the finite-horizon backup matrices exactly."""
-
-    def __init__(self, game: StochasticGame, selection: SelectionFunction = nash_select):
-        self.game = game
-        self.selection = selection
-        self._memo: dict[tuple[int, int], tuple[StrategyProfile, np.ndarray, np.ndarray]] = {}
-
-    def node(self, state: int, t: int):
-        key = (state, t)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        game = self.game
-        q1 = np.array(game.payoffs1[state])
-        q2 = np.array(game.payoffs2[state])
-        if t > 0:
-            for i in range(game.n_row_actions):
-                for j in range(game.n_col_actions):
-                    pvec = game.transitions[state, i, j]
-                    acc1 = 0.0
-                    acc2 = 0.0
-                    for s2 in np.nonzero(pvec)[0]:
-                        child_prof, _, _ = self.node(int(s2), t - 1)
-                        acc1 += pvec[s2] * child_prof.value1
-                        acc2 += pvec[s2] * child_prof.value2
-                    q1[i, j] += acc1
-                    q2[i, j] += acc2
-        try:
-            prof = self.selection(MatrixGame(q1, q2))
-        except SgError as exc:
-            raise SelectionFailure(state, t, exc) from exc
-        q1.setflags(write=False)
-        q2.setflags(write=False)
-        hit = (prof, q1, q2)
-        self._memo[key] = hit
-        return hit
-
-    def plan(self, state: int, t: int) -> SparsePlanResult:
-        before = len(self._memo)
-        prof, q1, q2 = self.node(state, t)
-        expanded = len(self._memo) - before
-        return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), expanded)
-
-    @property
-    def nodes_evaluated(self) -> int:
-        return len(self._memo)
+def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionFunction):
+    """Exact backups of the marked nodes, tt = 0 first, each expectation a
+    sequential sum from 0.0 (not `T @ v`, see above).  reach[tt] marks the
+    states backed up at time remaining tt and must mark every successor of
+    those marked at tt + 1.  Returns one (q1, q2, profiles) per level, in
+    the order of its marked states."""
+    levels = []
+    for tt, mask in enumerate(reach):
+        states = np.flatnonzero(mask)
+        q1, q2 = game.payoffs1[states], game.payoffs2[states]
+        if tt > 0:
+            succ = game.transitions[states][..., below]
+            zero = np.zeros(succ.shape[:-1] + (1,))
+            q1 = q1 + np.cumsum(np.concatenate([zero, succ * v1], axis=-1), axis=-1)[..., -1]
+            q2 = q2 + np.cumsum(np.concatenate([zero, succ * v2], axis=-1), axis=-1)[..., -1]
+        profiles, v1, v2 = select_level(selection, q1, q2, states, tt)
+        levels.append((q1, q2, profiles))
+        below = states
+    return levels
 
 
 def exact_sparse_game(game: StochasticGame, state: int, t: int,
                       selection: SelectionFunction = nash_select) -> SparsePlanResult:
-    """Exact-expectation oracle for `sparse_game` on an explicit game.
-
-    nodes_expanded counts distinct (state, t) evaluations.
-    """
-    return ExactPlanner(game, selection).plan(state, t)
+    """Exact-expectation oracle for `sparse_game` on an explicit game; it
+    backs up only the (state, t) nodes reachable from the root, and
+    nodes_expanded counts them."""
+    if t < 0:
+        raise ValueError(f"time remaining must be >= 0, got {t}")
+    reach = np.zeros((t + 1, game.n_states), dtype=bool)
+    reach[t, state] = True
+    for tt in range(t, 0, -1):
+        reach[tt - 1] = game.transitions[reach[tt]].any(axis=(0, 1, 2))
+    (q1,), (q2,), (prof,) = _exact_levels(game, reach, selection)[-1]
+    q1.setflags(write=False)
+    q2.setflags(write=False)
+    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), int(reach.sum()))
 
 
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
@@ -311,9 +291,7 @@ class InducedPolicyPair:
 
     The strategy pair at (s, t) is the profile of
     sparse_game(model, s, t, m, derive(root_seed, s, t)); both halves come
-    from that single shared call.  Plans are computed lazily and memoised;
-    the memo tolerates concurrent insertion because every insert for a key
-    carries the identical value.
+    from that single shared call.  Plans are computed lazily and memoised.
     """
 
     def __init__(self, model: GenerativeModel, m: int, horizon: int, root_seed,
@@ -330,13 +308,11 @@ class InducedPolicyPair:
         self._plans: dict[tuple[int, int], SparsePlanResult] = {}
 
     def plan(self, state: int, t: int) -> SparsePlanResult:
-        key = (state, t)
-        hit = self._plans.get(key)
-        if hit is None:
-            hit = sparse_game(self.model, state, t, self.m, self.seed.derive(state, t),
-                              self.selection, self.node_budget)
-            self._plans[key] = hit
-        return hit
+        if (state, t) not in self._plans:
+            self._plans[state, t] = sparse_game(self.model, state, t, self.m,
+                                                self.seed.derive(state, t),
+                                                self.selection, self.node_budget)
+        return self._plans[state, t]
 
     def strategy(self, player: int, state: int, t: int) -> MixedStrategy:
         prof = self.plan(state, t).profile
@@ -399,6 +375,7 @@ def gap_experiment(game: StochasticGame, horizon: int,
     With independent_seeds each player plans from an unrelated seed
     instead of the shared run -- an exploration mode, no guarantee claimed.
     """
+    _check_horizon(horizon)
     if start is None:
         start = game.start_state
     model = as_generative(game)
@@ -408,11 +385,12 @@ def gap_experiment(game: StochasticGame, horizon: int,
     for m in m_list:
         for seed in seeds:
             if m == "exact":
-                planner = ExactPlanner(game, selection)
-                pol1, pol2 = _freeze(lambda s, t: planner.node(s, t)[0], states, horizon,
+                levels = _exact_levels(game, np.ones((horizon, game.n_states), dtype=bool),
+                                       selection)
+                pol1, pol2 = _freeze(lambda s, t: levels[t][2][s], states, horizon,
                                      game.n_row_actions, game.n_col_actions)
                 qerr1 = qerr2 = 0.0
-                nodes = planner.nodes_evaluated
+                nodes = horizon * game.n_states
             else:
                 pair = InducedPolicyPair(model, int(m), horizon, seed, selection, node_budget)
                 pol1, pol2 = pair.materialize(states)

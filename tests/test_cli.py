@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from sgplan import (GameFileError, load_game, load_policy_pair, random_game,
-                    save_game, save_policy_pair, single_state_game)
+from sgplan import (DimensionMismatch, GameFileError, MissingPolicyEntry,
+                    TimeDependentPolicy, as_generative, induced_policy, load_game,
+                    load_policy_pair, random_game, save_game, save_policy_pair,
+                    single_state_game)
 from sgplan.io import write_trace
 
 from conftest import run_cli
@@ -116,6 +118,23 @@ class TestPolicyFiles:
         self.write_entries(path, 2, keys)
         with pytest.raises(GameFileError, match=message):
             load_policy_pair(path)
+
+    def test_save_refuses_a_gap(self, tmp_path):
+        model = as_generative(random_game(3, 2, 2, 2, 1.0, seed=7))
+        pol1, pol2 = induced_policy(model, 2, 2, 0).materialize([0, 2])
+        path = tmp_path / "p.json"
+        with pytest.raises(MissingPolicyEntry, match=r"\(state=1, t=0\)"):
+            save_policy_pair(pol1, pol2, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("horizons, n_states", [((2, 3), (3, 3)), ((2, 2), (3, 2))])
+    def test_save_refuses_mismatched_halves(self, tmp_path, horizons, n_states):
+        halves = [TimeDependentPolicy(h, 2, np.full((n, h, 2), 0.5))
+                  for h, n in zip(horizons, n_states)]
+        path = tmp_path / "p.json"
+        with pytest.raises(DimensionMismatch, match="policy halves differ"):
+            save_policy_pair(*halves, path)
+        assert not path.exists()
 
     def test_nan_probability_rejected(self, tmp_path):
         path = tmp_path / "p.json"
@@ -237,6 +256,15 @@ class TestCommands:
                      "--policy", "p.json"], tmp_path)
         assert r.returncode == 1
         assert r.stderr == "error: no strategy stored for (state=0, t=6)\n"
+
+    def test_certify_rejects_horizon_zero(self, game_file, tmp_path):
+        r = run_cli(["solve-finite", "--game", "game.json", "--horizon", "3",
+                     "--out-policy", "p.json"], tmp_path)
+        assert r.returncode == 0
+        r = run_cli(["certify", "--game", "game.json", "--horizon", "0",
+                     "--policy", "p.json"], tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == "error: horizon must be >= 1, got 0\n"
 
     def test_probe_nash_mode_runs(self, game_file, tmp_path):
         r = run_cli(["probe-nash-mode", "--game", "game.json", "--gamma", "0.5"],

@@ -94,6 +94,15 @@ class TestFiniteVI:
         with pytest.raises(ValueError):
             finite_vi(repeated_pd, 0)
 
+    def test_certificates_reject_horizon_zero(self, three_state_game):
+        result = finite_vi(three_state_game, 3)
+        for call in (lambda: policy_value(three_state_game, result.policy1, result.policy2, 0),
+                     lambda: best_response_dp(three_state_game, result.policy2, 0, 1),
+                     lambda: nash_certificate(three_state_game, result.policy1,
+                                              result.policy2, 0)):
+            with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+                call()
+
 
 class TestPolicyValue:
     def test_always_defect(self, repeated_pd):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
-                    SelectionFailure, derive_seed,
+                    SelectionFailure, StochasticGame, TimeDependentPolicy, derive_seed,
                     exact_sparse_game, finite_vi, gap_experiment, induced_policy,
                     nash_certificate, nash_select, random_game, sample_size,
                     single_state_game, sparse_game, as_generative)
 from sgplan import sparse_planner
 from sgplan.game_model import GenerativeModel
-from sgplan.sparse_planner import SparsePlanResult, _derive_children, _uniforms
+from sgplan.sparse_planner import GapRow, SparsePlanResult, _derive_children, _uniforms
+
+from conftest import STANDARD_FIXTURE_SEED
 
 
 def recursive_reference(model, state, t, m, seed, selection=nash_select):
@@ -52,6 +54,50 @@ def recursive_reference(model, state, t, m, seed, selection=nash_select):
 
     prof, q1, q2 = expand(state, t, SeedSpec.of(seed).root_seed)
     return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), count[0])
+
+
+class ExactReference:
+    """Depth-first, memoised exact recursion: at (state, t) each backup
+    entry adds p(s') * value(s', t - 1) over the successors s' with p > 0,
+    in ascending order, to an accumulator that starts from 0.0."""
+
+    def __init__(self, game, selection=nash_select):
+        self.game = game
+        self.selection = selection
+        self.memo = {}
+
+    def node(self, state, t):
+        if (state, t) not in self.memo:
+            game = self.game
+            q1 = np.array(game.payoffs1[state])
+            q2 = np.array(game.payoffs2[state])
+            if t > 0:
+                for i, j in np.ndindex(q1.shape):
+                    pvec = game.transitions[state, i, j]
+                    acc1 = acc2 = 0.0
+                    for s2 in np.nonzero(pvec)[0]:
+                        child, _, _ = self.node(int(s2), t - 1)
+                        acc1 += pvec[s2] * child.value1
+                        acc2 += pvec[s2] * child.value2
+                    q1[i, j] += acc1
+                    q2[i, j] += acc2
+            self.memo[state, t] = self.selection(MatrixGame(q1, q2)), q1, q2
+        return self.memo[state, t]
+
+    def plan(self, state, t):
+        before = len(self.memo)
+        prof, q1, q2 = self.node(state, t)
+        return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2),
+                                len(self.memo) - before)
+
+
+def unreached_state_game():
+    """A 4-state game in which no transition enters state 0."""
+    game = random_game(4, 2, 2, 3, 1.0, seed=12)
+    transitions = game.transitions.copy()
+    transitions[..., 1] += transitions[..., 0]
+    transitions[..., 0] = 0.0
+    return StochasticGame(game.payoffs1, game.payoffs2, transitions, r_max=game.r_max)
 
 
 class PayoffsAndSamplerOnly(GenerativeModel):
@@ -292,6 +338,57 @@ class TestExactOracle:
         assert all(means[k + 1] <= means[k] for k in range(len(means) - 1))
 
 
+class TestExactBitContract:
+    """The level-synchronous exact oracle reproduces the depth-first
+    recursion bit for bit: profile, values, backup matrices, node count."""
+
+    GAMES = {
+        "fixture": lambda: random_game(3, 2, 2, 2, 1.0, seed=STANDARD_FIXTURE_SEED),
+        "sparse branching": lambda: random_game(7, 3, 2, 2, 1.0, seed=21),
+        "unreached state": unreached_state_game,
+    }
+
+    @pytest.mark.parametrize("name", GAMES)
+    def test_matches_exact_reference(self, name):
+        game = self.GAMES[name]()
+        for s in range(game.n_states):
+            for t in range(4):
+                assert_same_bits(exact_sparse_game(game, s, t), ExactReference(game).plan(s, t))
+
+    def test_fixtures_cover_their_cases(self):
+        assert (self.GAMES["sparse branching"]().transitions > 0).sum(axis=-1).max() < 7
+        assert not self.GAMES["unreached state"]().transitions[..., 0].any()
+
+    @pytest.mark.parametrize("name", GAMES)
+    def test_gap_experiment_rows_match_reference(self, name):
+        game = self.GAMES[name]()
+        horizon, seeds, start = 3, [0, 5], game.start_state
+        ref = ExactReference(game)
+        profiles = {(s, t): ref.node(s, t)[0]
+                    for s in range(game.n_states) for t in range(horizon)}
+        exact = (TimeDependentPolicy(horizon, game.n_row_actions,
+                                     {key: p.row.probs for key, p in profiles.items()}),
+                 TimeDependentPolicy(horizon, game.n_col_actions,
+                                     {key: p.col.probs for key, p in profiles.items()}))
+        gaps = nash_certificate(game, *exact, horizon)
+        want = [GapRow("exact", seed, *gaps, 0.0, 0.0, len(ref.memo)) for seed in seeds]
+        root = ExactReference(game).plan(start, horizon - 1)
+        for seed in seeds:
+            pair = induced_policy(as_generative(game), 2, horizon, seed)
+            pols = pair.materialize(range(game.n_states))
+            q_hats = pair.plan(start, horizon - 1).q_hats
+            want.append(GapRow(2, seed, *nash_certificate(game, *pols, horizon),
+                               abs(q_hats[0] - root.q_hats[0]), abs(q_hats[1] - root.q_hats[1]),
+                               pair.nodes_expanded))
+        assert gap_experiment(game, horizon, ["exact", 2], seeds) == want
+
+    def test_selection_failure_names_a_leaf(self, three_state_game):
+        def refuse(game):
+            raise DegenerateGame("boom")
+        with pytest.raises(SelectionFailure, match=r"t=0: boom"):
+            exact_sparse_game(three_state_game, 2, 2, selection=refuse)
+
+
 class TestSampleSize:
     def test_frozen_example(self):
         # ceil((4^3/0.1^2) ln(40) + 4 ln(20)) + 1 = ceil(23620.81...) + 1
@@ -361,6 +458,10 @@ class TestGapExperiment:
         assert rows[0].gap1 == pytest.approx(want[0], abs=1e-9)
         assert rows[0].gap2 == pytest.approx(want[1], abs=1e-9)
         assert rows[0].qerr1 == 0.0
+
+    def test_horizon_zero_rejected(self, three_state_game):
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            gap_experiment(three_state_game, 0, ["exact", 2], seeds=[0])
 
     def test_rows_are_per_m_per_seed(self, three_state_game):
         rows = gap_experiment(three_state_game, 2, [1, 2], seeds=[5, 6, 7])
