@@ -33,9 +33,12 @@ SUPPORT_TOL = 1e-9
 VERIFY_TOL = 1e-8
 #: largest per-player action count support enumeration will attempt.
 ENUMERATION_CAP = 8
+#: a deviation gain (times the payoff scale) or a polytope slack no larger
+#: than this is a rounding tie, not a profitable deviation or a loose row.
+_TIE_TOL = 1e-12
 #: a maximin solution with a larger duality gap (times the payoff scale)
 #: is replaced by the zero-sum equilibrium from enumeration.
-_DUALITY_TOL = 1e-9
+_DUALITY_TOL = 1e-10
 #: linear systems with a worse condition estimate are discarded.
 _COND_LIMIT = 1e12
 
@@ -262,9 +265,15 @@ def _solve_linear(a: np.ndarray, b: np.ndarray):
     return x
 
 
-def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float) -> StrategyProfile | None:
+def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
+                         tie: float) -> StrategyProfile | None:
     """Candidate equilibrium with the exact supports (sup1, sup2), if the
-    indifference conditions and best-response checks admit one."""
+    indifference conditions and best-response checks admit one.
+
+    tol is the slack on support probabilities; a deviation must gain more
+    than tie, a rounding-level slack, to rule the candidate out. A looser
+    deviation slack would admit near-equilibria ahead of the exact ones.
+    """
     m1, m2 = game.payoff1, game.payoff2
     k1, k2 = len(sup1), len(sup2)
     if k1 != k2:
@@ -276,7 +285,7 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float) -> StrategyPr
         i, j = sup1[0], sup2[0]
         v1 = m1[i, j]
         v2 = m2[i, j]
-        if m1[:, j].max() > v1 + tol or m2[i, :].max() > v2 + tol:
+        if m1[:, j].max() > v1 + tie or m2[i, :].max() > v2 + tie:
             return None
         alpha = np.zeros(game.rows)
         beta = np.zeros(game.cols)
@@ -316,8 +325,11 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float) -> StrategyPr
     beta = np.zeros(game.cols)
     alpha[r1] = alpha_s / alpha_s.sum()
     beta[c2] = beta_s / beta_s.sum()
-    # no profitable pure deviation outside the supports
-    if (m1 @ beta).max() > v1 + tol or (alpha @ m2).max() > v2 + tol:
+    # no profitable pure deviation outside the supports, measured against the
+    # support payoffs themselves so that the solve error does not enter
+    pay1 = m1 @ beta
+    pay2 = alpha @ m2
+    if pay1.max() > pay1[r1].max() + tie or pay2.max() > pay2[c2].max() + tie:
         return None
     row = MixedStrategy(alpha)
     col = MixedStrategy(beta)
@@ -341,18 +353,21 @@ def _verified(game: MatrixGame, candidates: Iterator[StrategyProfile]) -> Iterat
 def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]]:
     """Nonzero vertices of the bounded polytope {z : g z <= h}, each with the
     set of its tight rows, in order of first appearance over the square
-    subsystems of rows in combinations order."""
+    subsystems of rows in combinations order. g and h are of order 1, so
+    the tolerances are absolute."""
     out = []
     seen = set()
     for rows in itertools.combinations(range(g.shape[0]), g.shape[1]):
         idx = np.asarray(rows)
         z = _solve_linear(g[idx], h[idx])
-        if z is None or z.sum() <= SUPPORT_TOL or np.any(g @ z > h + SUPPORT_TOL):
+        if z is None or z.sum() <= SUPPORT_TOL or np.any(g @ z > h + _TIE_TOL):
             continue
-        labels = frozenset(np.flatnonzero(np.abs(g @ z - h) <= SUPPORT_TOL).tolist())
+        # only rounding-level slack counts as tight: a looser one labels
+        # near-tight rows and pairs up near-equilibria
+        labels = frozenset(np.flatnonzero(np.abs(g @ z - h) <= _TIE_TOL).tolist())
         if labels not in seen:
             seen.add(labels)
-            out.append((np.where(z > SUPPORT_TOL, z, 0.0), labels))
+            out.append((np.where(z > _TIE_TOL, z, 0.0), labels))
     return out
 
 
@@ -394,8 +409,8 @@ def _equilibria(game: MatrixGame, cap: int) -> Iterator[StrategyProfile]:
         raise EnumerationCapExceeded(
             f"support enumeration capped at {cap} actions per player, "
             f"game is {game.rows}x{game.cols}")
-    tol = SUPPORT_TOL * _scale(game)
-    candidates = (_profile_on_supports(game, sup1, sup2, tol)
+    scale = _scale(game)
+    candidates = (_profile_on_supports(game, sup1, sup2, SUPPORT_TOL * scale, _TIE_TOL * scale)
                   for sup1, sup2 in _support_pairs(game.rows, game.cols))
     profiles = _verified(game, (p for p in candidates if p is not None))
     first = next(profiles, None)
