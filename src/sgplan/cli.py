@@ -9,15 +9,14 @@ only).  Every command is deterministic given identical flags and seeds.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .discounted_planner import infinite_vi, nash_mode_probe
 from .errors import GameFileError, SgError
 from .finite_planner import finite_vi, nash_certificate
 from .game_model import as_generative, random_game
-from .io import (DISCOUNTED_TRACE_HEADER, FINITE_TRACE_HEADER, GAP_TRACE_HEADER,
-                 load_game, load_policy_pair, save_game, save_policy_pair, write_trace)
+from .io import (DISCOUNTED_TRACE_HEADER, FINITE_TRACE_HEADER, GAP_TRACE_HEADER, load_game,
+                 load_policy_pair, read_json_object, save_game, save_policy_pair, write_trace)
 from .sparse_planner import gap_experiment, sample_size, sparse_game
 
 
@@ -143,13 +142,10 @@ def _cmd_sample_size(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
-    try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GameFileError(f"{args.config}: invalid JSON at line {exc.lineno}: "
-                            f"{exc.msg}") from exc
+    doc = read_json_object(args.config)
     experiments = doc.get("experiments", [])
+    if not isinstance(experiments, list) or not all(isinstance(e, dict) for e in experiments):
+        raise GameFileError(f"{args.config}: 'experiments' must be a list of JSON objects")
     for idx, exp in enumerate(experiments):
         name = exp.get("name", f"experiment-{idx}")
         argv = exp.get("argv")

@@ -12,30 +12,32 @@ values are the game values).  Swapping in a Nash selection function gives
 no such guarantee; `nash_mode_probe` runs that variant and reports whether
 the value tables settle, cycle, or neither.
 
-Values here are discounted payoff sums (not per-stage averages).
+Values here are discounted payoff sums (not per-stage averages); a sweep is
+a `DiscountedIterate` of the state-indexed arrays `backup_sweep` returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SgError
 from .finite_planner import backup_sweep
 from .game_model import StationaryPolicy, StochasticGame
-from .matrix_games import SelectionFunction, StrategyProfile, security_select, nash_select
+from .matrix_games import SelectionFunction, security_select, nash_select
 
 
 @dataclass(frozen=True)
 class DiscountedIterate:
-    """Snapshot of one sweep: backup matrices, selected profiles, values,
+    """Snapshot of one sweep: backup matrices, selected strategies, values,
     and the sup-norm change from the previous sweep."""
 
     t: int
     q1: np.ndarray  # (n_states, n1, n2)
     q2: np.ndarray
-    profiles: tuple[StrategyProfile, ...]
+    rows: np.ndarray  # (n_states, n1)
+    cols: np.ndarray  # (n_states, n2)
     values1: np.ndarray
     values2: np.ndarray
     delta: float
@@ -52,7 +54,6 @@ class InfiniteVIResult:
     value_trace: tuple[tuple[float, float], ...]
     converged: bool
     iterations: int
-    final: DiscountedIterate
 
 
 def _check_settings(gamma: float, tol: float, max_iter: int = 0) -> None:
@@ -69,13 +70,13 @@ def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
     """Yield sweeps 0..max_iter of the discounted backup.  Sweep 0 backs up
     the stage games and has delta nan; sweep t backs up sweep t-1's values."""
     _check_settings(gamma, tol, max_iter)
-    q1, q2, profiles, v1, v2 = backup_sweep(game, gamma, None, None, selection, 0)
-    yield DiscountedIterate(0, q1, q2, profiles, v1, v2, float("nan"))
-    for t in range(1, max_iter + 1):
-        q1, q2, profiles, new_v1, new_v2 = backup_sweep(game, gamma, v1, v2, selection, t)
-        delta = float(max(np.abs(new_v1 - v1).max(), np.abs(new_v2 - v2).max()))
-        v1, v2 = new_v1, new_v2
-        yield DiscountedIterate(t, q1, q2, profiles, v1, v2, delta)
+    v1 = v2 = None
+    for t in range(max_iter + 1):
+        level = backup_sweep(game, gamma, v1, v2, selection, t)
+        delta = (float("nan") if t == 0 else
+                 float(max(np.abs(level[4] - v1).max(), np.abs(level[5] - v2).max())))
+        v1, v2 = level[4:]
+        yield DiscountedIterate(t, *level, delta)
 
 
 def infinite_vi(game: StochasticGame, gamma: float,
@@ -97,11 +98,9 @@ def infinite_vi(game: StochasticGame, gamma: float,
             if it.delta <= tol:
                 converged = True
                 break
-    final = it if it.t else replace(it, delta=0.0)
-    pol1 = StationaryPolicy([p.row.probs for p in it.profiles])
-    pol2 = StationaryPolicy([p.col.probs for p in it.profiles])
-    return InfiniteVIResult(pol1, pol2, it.values1, it.values2, tuple(deltas),
-                            tuple(value_trace), converged, it.t, final)
+    return InfiniteVIResult(StationaryPolicy(it.rows), StationaryPolicy(it.cols),
+                            it.values1, it.values2, tuple(deltas), tuple(value_trace),
+                            converged, it.t)
 
 
 @dataclass(frozen=True)
@@ -188,15 +187,6 @@ def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
 
 
 @dataclass(frozen=True)
-class ProbeIteration:
-    t: int
-    delta: float
-    values1: np.ndarray
-    values2: np.ndarray
-    profiles: tuple[StrategyProfile, ...]
-
-
-@dataclass(frozen=True)
 class ProbeReport:
     """Trajectory of the Nash-selection variant.  classification is one of
     "converged", "cyclic", "undetermined"; for cycles, cycle_start/
@@ -205,7 +195,7 @@ class ProbeReport:
     classification: str
     iterations: int
     deltas: tuple[float, ...]
-    trajectory: tuple[ProbeIteration, ...]
+    trajectory: tuple[DiscountedIterate, ...]
     cycle_start: int | None = None
     cycle_length: int | None = None
 
@@ -216,12 +206,11 @@ def nash_mode_probe(game: StochasticGame, gamma: float,
     """Run the discounted sweep with a Nash selection function and watch
     the value tables.  No claim is made about which games oscillate; the
     probe only classifies what this run did within max_iter sweeps."""
-    trajectory: list[ProbeIteration] = []
+    trajectory: list[DiscountedIterate] = []
     deltas: list[float] = []
     fingerprints: dict[bytes, int] = {}
     for it in _sweeps(game, gamma, selection, max_iter, tol):
-        trajectory.append(ProbeIteration(it.t, it.delta, it.values1, it.values2,
-                                         it.profiles))
+        trajectory.append(it)
         if it.t:
             deltas.append(it.delta)
             if it.delta <= tol:

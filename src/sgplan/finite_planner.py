@@ -16,9 +16,9 @@ over 0..H-1 (t counts the stages left after the current one).  Backup
 values are undiscounted payoff sums; everything reported externally
 (policy values, certificate gaps) is a per-stage average, i.e. sum / H.
 
-`select_level` is the one place a selection function meets backup games:
-`backup_sweep` here, and the sampler and exact oracle of `sparse_planner`,
-hand it one level of backup pairs at a time.
+`select_level` is the one place a selection function meets backup games and
+its profiles become arrays: `backup_sweep` here, and the sampler and exact
+oracle of `sparse_planner`, hand it one level of backup pairs at a time.
 
 Policies are (n_states, horizon, n_actions) strategy arrays with all-NaN
 rows where no strategy is stored; the certificate DPs sweep all states at
@@ -33,27 +33,40 @@ import numpy as np
 
 from .errors import SgError, SelectionFailure
 from .game_model import StochasticGame, TimeDependentPolicy
-from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, nash_select
+from .matrix_games import MatrixGame, MixedStrategy, SelectionFunction, StrategyProfile, nash_select
+
+
+def level_profile(rows, cols, values1, values2, key) -> StrategyProfile:
+    """The profile at `key` of strategy and value arrays from `select_level`."""
+    return StrategyProfile(MixedStrategy(rows[key]), MixedStrategy(cols[key]),
+                           float(values1[key]), float(values2[key]))
 
 
 @dataclass(frozen=True)
 class BackupTable:
-    """Backup matrices and selected profiles for every (state, t)."""
+    """Backup matrices, selected strategies and values for every (state, t)."""
 
     horizon: int
     q1: np.ndarray  # (n_states, horizon, n1, n2)
     q2: np.ndarray
-    profiles: tuple[tuple[StrategyProfile, ...], ...]  # [state][t]
+    rows: np.ndarray  # (n_states, horizon, n1)
+    cols: np.ndarray  # (n_states, horizon, n2)
+    values1: np.ndarray  # (n_states, horizon)
+    values2: np.ndarray
 
     def q(self, player: int, state: int, t: int) -> np.ndarray:
         return (self.q1 if player == 1 else self.q2)[state, t]
 
     def profile(self, state: int, t: int) -> StrategyProfile:
-        return self.profiles[state][t]
+        return level_profile(self.rows, self.cols, self.values1, self.values2, (state, t))
+
+    @property
+    def profiles(self) -> tuple[tuple[StrategyProfile, ...], ...]:  # [state][t]
+        return tuple(tuple(self.profile(s, t) for t in range(self.horizon))
+                     for s in range(len(self.rows)))
 
     def value(self, player: int, state: int, t: int) -> float:
-        prof = self.profiles[state][t]
-        return prof.value1 if player == 1 else prof.value2
+        return float((self.values1 if player == 1 else self.values2)[state, t])
 
 
 @dataclass(frozen=True)
@@ -64,17 +77,17 @@ class FiniteVIResult:
 
 
 def select_level(selection: SelectionFunction, q1, q2, states, t: int):
-    """Select an equilibrium of each backup pair (q1[k], q2[k]) of a level:
-    (profiles, values1, values2) in level order.  A selection error at
-    pair k becomes SelectionFailure(states[k], t)."""
+    """Select an equilibrium of each backup pair (q1[k], q2[k]) of a level of
+    K pairs: (rows (K, n1), cols (K, n2), values1 (K,), values2 (K,)).  A
+    selection error at pair k becomes SelectionFailure(states[k], t)."""
     profiles = []
     for k, s in enumerate(states):
         try:
             profiles.append(selection(MatrixGame(q1[k], q2[k])))
         except SgError as exc:
             raise SelectionFailure(int(s), t, exc) from exc
-    return (tuple(profiles), np.array([p.value1 for p in profiles]),
-            np.array([p.value2 for p in profiles]))
+    return (np.array([p.row.probs for p in profiles]), np.array([p.col.probs for p in profiles]),
+            np.array([p.value1 for p in profiles]), np.array([p.value2 for p in profiles]))
 
 
 def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
@@ -82,8 +95,8 @@ def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
     """Back up every state once and select an equilibrium of each backup pair.
 
     Q_k = M_k + gamma * (P @ v_k) over all states at once, or the stage
-    games themselves when v1 is None.  Returns (q1, q2, profiles, values1,
-    values2) in state order.
+    games themselves when v1 is None.  Returns (q1, q2, rows, cols,
+    values1, values2) in state order.
     """
     if v1 is None:
         q1, q2 = game.payoffs1, game.payoffs2
@@ -103,20 +116,14 @@ def finite_vi(game: StochasticGame, horizon: int,
               selection: SelectionFunction = nash_select) -> FiniteVIResult:
     """Nash value iteration over backup matrices for an H-stage game."""
     _check_horizon(horizon)
-    n_states, n1, n2 = game.n_states, game.n_row_actions, game.n_col_actions
-    q1 = np.zeros((n_states, horizon, n1, n2))
-    q2 = np.zeros((n_states, horizon, n1, n2))
-    levels = []  # [t][state]
+    levels = []  # [t] -> backup_sweep's arrays over states
     v1 = v2 = None
     for t in range(horizon):
-        q1[:, t], q2[:, t], level, v1, v2 = backup_sweep(game, 1.0, v1, v2, selection, t)
-        levels.append(level)
-
-    table = BackupTable(horizon, q1, q2, tuple(zip(*levels)))
-    rows = [[p.row.probs for p in per_state] for per_state in table.profiles]
-    cols = [[p.col.probs for p in per_state] for per_state in table.profiles]
-    return FiniteVIResult(TimeDependentPolicy(horizon, n1, rows),
-                          TimeDependentPolicy(horizon, n2, cols), table)
+        levels.append(backup_sweep(game, 1.0, v1, v2, selection, t))
+        v1, v2 = levels[-1][4:]
+    table = BackupTable(horizon, *(np.stack(arrays, axis=1) for arrays in zip(*levels)))
+    return FiniteVIResult(TimeDependentPolicy(horizon, game.n_row_actions, table.rows),
+                          TimeDependentPolicy(horizon, game.n_col_actions, table.cols), table)
 
 
 def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,

@@ -3,14 +3,16 @@
 Game files are dense on payoffs and sparse on transitions (zero-probability
 entries omitted).  Floats are serialized with Python's shortest round-trip
 decimal repr, so save -> load reproduces every entry exactly and reruns are
-byte-identical.
+byte-identical.  Every write replaces its file whole or leaves it as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
 
 import numpy as np
 
@@ -22,6 +24,34 @@ GAME_FILE_VERSION = 1
 GAP_TRACE_HEADER = ("m", "seed", "gap1", "gap2", "qerr1", "qerr2", "nodes")
 DISCOUNTED_TRACE_HEADER = ("iter", "delta", "v1_s0", "v2_s0")
 FINITE_TRACE_HEADER = ("t", "state", "value1", "value2")
+
+
+@contextlib.contextmanager
+def _atomic_open(path, **kwargs):
+    """A text file whose contents replace `path` when the block exits normally;
+    on an exception it is removed.  Plain `open` keeps the umask's mode."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at `path`, else GameFileError."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise GameFileError(f"{path}: invalid JSON at line {exc.lineno}, "
+                            f"column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise GameFileError(f"{path}: top level must be a JSON object")
+    return doc
 
 
 def save_game(game: StochasticGame, path) -> None:
@@ -38,7 +68,7 @@ def save_game(game: StochasticGame, path) -> None:
         "payoffs2": game.payoffs2.tolist(),
         "transitions": transitions,
     }
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -56,14 +86,7 @@ def load_game(path) -> StochasticGame:
     they are renormalized only when the drift exceeds 1e-12, so files
     written by `save_game` round-trip entrywise exactly.
     """
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GameFileError(f"{path}: invalid JSON at line {exc.lineno}, "
-                            f"column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise GameFileError(f"{path}: top level must be a JSON object")
+    doc = read_json_object(path)
     version = _require(doc, "version")
     if version != GAME_FILE_VERSION:
         raise GameFileError(f"{path}: unsupported version {version!r}")
@@ -131,7 +154,7 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
     entries = [{"state": s, "t": t, "row_probs": rows[s, t].tolist(),
                 "col_probs": cols[s, t].tolist()} for s, t in np.ndindex(*shape)]
     doc = {"horizon": shape[1], "entries": entries}
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -139,12 +162,7 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
 def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     """Parse a policy file whose table is complete: every (state, t) with
     0 <= state <= the largest state and 0 <= t < horizon, exactly once."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GameFileError(f"{path}: invalid JSON at line {exc.lineno}, "
-                            f"column {exc.colno}: {exc.msg}") from exc
+    doc = read_json_object(path)
     horizon = int(_require(doc, "horizon"))
     entries = _require(doc, "entries")
     if not entries:
@@ -184,9 +202,7 @@ def _format_cell(value) -> str:
 def write_trace(path, header, rows) -> None:
     """CSV with an exact header and shortest round-trip decimals; raises
     rather than ever emitting a NaN or infinity."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    with _atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_format_cell(v) for v in row) + "\n")

@@ -265,6 +265,20 @@ def _solve_linear(a: np.ndarray, b: np.ndarray):
     return x
 
 
+def _indifference(block: np.ndarray):
+    """(opponent support strategy, value) that makes a player indifferent
+    across the rows of `block`, their payoffs on the two supports; or None."""
+    k1, k2 = block.shape
+    system = np.zeros((k1 + 1, k2 + 1))
+    system[:k1, :k2] = block
+    system[:k1, k2] = -1.0
+    system[k1, :k2] = 1.0
+    rhs = np.zeros(k1 + 1)
+    rhs[k1] = 1.0
+    sol = _solve_linear(system, rhs)
+    return None if sol is None else (sol[:k2], sol[k2])
+
+
 def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
                          tie: float) -> StrategyProfile | None:
     """Candidate equilibrium with the exact supports (sup1, sup2), if the
@@ -287,36 +301,16 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
         v2 = m2[i, j]
         if m1[:, j].max() > v1 + tie or m2[i, :].max() > v2 + tie:
             return None
-        alpha = np.zeros(game.rows)
-        beta = np.zeros(game.cols)
-        alpha[i] = 1.0
-        beta[j] = 1.0
-        return StrategyProfile(MixedStrategy(alpha), MixedStrategy(beta), float(v1), float(v2))
+        return StrategyProfile(MixedStrategy.pure(game.rows, i), MixedStrategy.pure(game.cols, j),
+                               float(v1), float(v2))
 
     r1 = np.asarray(sup1)
     c2 = np.asarray(sup2)
-    # player 1 indifferent across sup1: rows are [M1[i, sup2], -1], plus sum(beta)=1
-    sys_b = np.zeros((k1 + 1, k2 + 1))
-    sys_b[:k1, :k2] = m1[np.ix_(r1, c2)]
-    sys_b[:k1, k2] = -1.0
-    sys_b[k1, :k2] = 1.0
-    rhs_b = np.zeros(k1 + 1)
-    rhs_b[k1] = 1.0
-    sol_b = _solve_linear(sys_b, rhs_b)
-    if sol_b is None:
-        return None
-    beta_s, v1 = sol_b[:k2], sol_b[k2]
-
-    sys_a = np.zeros((k2 + 1, k1 + 1))
-    sys_a[:k2, :k1] = m2[np.ix_(r1, c2)].T
-    sys_a[:k2, k1] = -1.0
-    sys_a[k2, :k1] = 1.0
-    rhs_a = np.zeros(k2 + 1)
-    rhs_a[k2] = 1.0
-    sol_a = _solve_linear(sys_a, rhs_a)
+    sol_b = _indifference(m1[np.ix_(r1, c2)])
+    sol_a = None if sol_b is None else _indifference(m2[np.ix_(r1, c2)].T)
     if sol_a is None:
         return None
-    alpha_s, v2 = sol_a[:k1], sol_a[k1]
+    (beta_s, _), (alpha_s, _) = sol_b, sol_a
 
     # the solution must live on exactly the declared supports
     if beta_s.min() <= tol or alpha_s.min() <= tol:

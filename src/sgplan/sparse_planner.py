@@ -12,7 +12,7 @@ cost is independent of the state-space size but exponential in t.
 The tree is expanded level-synchronously in array operations: top-down,
 every level is a flat array of states and seeds whose children are derived
 and sampled at once, the leaves in fixed blocks that are never stored;
-bottom-up, each level's backup matrices come from its children's values.
+bottom-up, each level's backup matrices come from its children's value arrays.
 
 All randomness is derived, never streamed: each branch (i, j, l) of a node
 gets its own 64-bit seed from a fixed SplitMix64-style mixing of
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import _check_horizon, nash_certificate, select_level
+from .finite_planner import _check_horizon, level_profile, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import MixedStrategy, SelectionFunction, StrategyProfile, nash_select
 
@@ -179,20 +179,11 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         raise NodeBudgetExceeded(
             f"sparse recursion exceeded node budget {node_budget} "
             f"(root state={state}, t={t}, m={m})")
-    base_cache: dict[int, StrategyProfile] = {}
-
-    def base(states: list[int]) -> list[StrategyProfile]:
-        new = [s for s in states if s not in base_cache]
-        stages = [model.payoffs(s) for s in new]
-        profs, _, _ = select_level(selection, [g.payoff1 for g in stages],
-                                   [g.payoff2 for g in stages], new, 0)
-        base_cache.update(zip(new, profs))
-        return [base_cache[s] for s in states]
-
     if t == 0:
-        prof, = base([state])
         q1, q2 = root_stage.payoff1, root_stage.payoff2
+        rows, cols, v1, v2 = select_level(selection, [q1], [q2], [state], 0)
     else:
+        base_cache: dict[int, tuple[float, float]] = {}  # leaf state -> values
         # top-down: the states of every internal level, root first
         levels = [np.array([state], dtype=np.int64)]
         seeds = np.array([spec.root_seed], dtype=np.uint64)
@@ -209,10 +200,15 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             block = slice(lo, lo + per_block)
             leaves, _ = _expand(model, last[block], seeds[block], 1, m)
             uniq, inverse = np.unique(leaves, return_inverse=True)
-            profs = base(uniq.tolist())
+            new = [s for s in uniq.tolist() if s not in base_cache]
+            stages = [model.payoffs(s) for s in new]
+            _, _, v1, v2 = select_level(selection, [g.payoff1 for g in stages],
+                                        [g.payoff2 for g in stages], new, 0)
+            base_cache.update(zip(new, zip(v1, v2)))
+            leaf_values = np.array([base_cache[s] for s in uniq.tolist()]).T
             inverse = inverse.reshape(leaves.shape)
-            means[0, block] = np.array([p.value1 for p in profs])[inverse].mean(axis=-1)
-            means[1, block] = np.array([p.value2 for p in profs])[inverse].mean(axis=-1)
+            means[0, block] = leaf_values[0][inverse].mean(axis=-1)
+            means[1, block] = leaf_values[1][inverse].mean(axis=-1)
         # bottom-up: above tt = 1 the child values are summed left to right
         for k in range(t - 1, -1, -1):
             states = levels[k]
@@ -226,21 +222,21 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             stages = [model.payoffs(s) for s in uniq.tolist()]
             q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
             q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
-            profs, v1, v2 = select_level(selection, q1, q2, states, t - k)
+            rows, cols, v1, v2 = select_level(selection, q1, q2, states, t - k)
             values = np.stack([v1, v2])
-        prof = profs[0]
         q1, q2 = q1[0], q2[0]
     q1.setflags(write=False)
     q2.setflags(write=False)
-    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), nodes)
+    return SparsePlanResult(level_profile(rows, cols, v1, v2, 0), (float(v1[0]), float(v2[0])),
+                            (q1, q2), nodes)
 
 
 def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionFunction):
     """Exact backups of the marked nodes, tt = 0 first, each expectation a
     sequential sum from 0.0 (not `T @ v`, see above).  reach[tt] marks the
     states backed up at time remaining tt and must mark every successor of
-    those marked at tt + 1.  Returns one (q1, q2, profiles) per level, in
-    the order of its marked states."""
+    those marked at tt + 1.  Returns one (q1, q2, rows, cols, values1,
+    values2) per level, each in the order of its marked states."""
     levels = []
     for tt, mask in enumerate(reach):
         states = np.flatnonzero(mask)
@@ -250,8 +246,8 @@ def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionF
             zero = np.zeros(succ.shape[:-1] + (1,))
             q1 = q1 + np.cumsum(np.concatenate([zero, succ * v1], axis=-1), axis=-1)[..., -1]
             q2 = q2 + np.cumsum(np.concatenate([zero, succ * v2], axis=-1), axis=-1)[..., -1]
-        profiles, v1, v2 = select_level(selection, q1, q2, states, tt)
-        levels.append((q1, q2, profiles))
+        levels.append((q1, q2) + select_level(selection, q1, q2, states, tt))
+        v1, v2 = levels[-1][4:]
         below = states
     return levels
 
@@ -267,10 +263,18 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
     reach[t, state] = True
     for tt in range(t, 0, -1):
         reach[tt - 1] = game.transitions[reach[tt]].any(axis=(0, 1, 2))
-    (q1,), (q2,), (prof,) = _exact_levels(game, reach, selection)[-1]
+    (q1,), (q2,), rows, cols, v1, v2 = _exact_levels(game, reach, selection)[-1]
     q1.setflags(write=False)
     q2.setflags(write=False)
-    return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), int(reach.sum()))
+    return SparsePlanResult(level_profile(rows, cols, v1, v2, 0), (float(v1[0]), float(v2[0])),
+                            (q1, q2), int(reach.sum()))
+
+
+def _exact_policies(game: StochasticGame, horizon: int, selection: SelectionFunction):
+    """The oracle's strategies at every (state, t < horizon) as a policy pair."""
+    levels = _exact_levels(game, np.ones((horizon, game.n_states), dtype=bool), selection)
+    return tuple(TimeDependentPolicy(horizon, n_actions, np.stack([lv[k] for lv in levels], axis=1))
+                 for k, n_actions in ((2, game.n_row_actions), (3, game.n_col_actions)))
 
 
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
@@ -320,8 +324,10 @@ class InducedPolicyPair:
 
     def materialize(self, states: Iterable[int]) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
         """Plan every (state, t) and freeze both halves as explicit policies."""
-        return _freeze(lambda s, t: self.plan(s, t).profile, states, self.horizon,
-                       self.model.n_row_actions, self.model.n_col_actions)
+        keys = [(s, t) for s in states for t in range(self.horizon)]
+        return tuple(TimeDependentPolicy(self.horizon, n, {k: self.strategy(player, *k).probs
+                                                           for k in keys})
+                     for player, n in ((1, self.model.n_row_actions), (2, self.model.n_col_actions)))
 
     @property
     def nodes_expanded(self) -> int:
@@ -333,15 +339,6 @@ def induced_policy(model: GenerativeModel, m: int, horizon: int, root_seed,
                    node_budget: int | None = None) -> InducedPolicyPair:
     """Lazy policy pair: play each visited (s, t) by a fresh shared plan."""
     return InducedPolicyPair(model, m, horizon, root_seed, selection, node_budget)
-
-
-def _freeze(profile_at, states, horizon: int, n1: int, n2: int):
-    """Both halves of profile_at(s, t), over states and t < horizon, as
-    explicit policies."""
-    keys = [(s, t) for s in states for t in range(horizon)]
-    profs = [profile_at(s, t) for s, t in keys]
-    return (TimeDependentPolicy(horizon, n1, {k: p.row.probs for k, p in zip(keys, profs)}),
-            TimeDependentPolicy(horizon, n2, {k: p.col.probs for k, p in zip(keys, profs)}))
 
 
 @dataclass(frozen=True)
@@ -381,30 +378,30 @@ def gap_experiment(game: StochasticGame, horizon: int,
     model = as_generative(game)
     exact_root = exact_sparse_game(game, start, horizon - 1, selection)
     states = range(game.n_states)
+    exact_gaps = None
     rows = []
     for m in m_list:
         for seed in seeds:
             if m == "exact":
-                levels = _exact_levels(game, np.ones((horizon, game.n_states), dtype=bool),
-                                       selection)
-                pol1, pol2 = _freeze(lambda s, t: levels[t][2][s], states, horizon,
-                                     game.n_row_actions, game.n_col_actions)
-                qerr1 = qerr2 = 0.0
-                nodes = horizon * game.n_states
+                if exact_gaps is None:  # the oracle ignores the seed: certify it once
+                    exact_gaps = nash_certificate(game, *_exact_policies(game, horizon, selection),
+                                                  horizon, start)
+                rows.append(GapRow(m, int(seed), *exact_gaps, 0.0, 0.0,
+                                   horizon * game.n_states))
+                continue
+            pair = InducedPolicyPair(model, int(m), horizon, seed, selection, node_budget)
+            pol1, pol2 = pair.materialize(states)
+            if independent_seeds:
+                other = InducedPolicyPair(model, int(m), horizon,
+                                          derive_seed(int(seed), _INDEPENDENT_TAG),
+                                          selection, node_budget)
+                _, pol2 = other.materialize(states)
+                nodes = pair.nodes_expanded + other.nodes_expanded
             else:
-                pair = InducedPolicyPair(model, int(m), horizon, seed, selection, node_budget)
-                pol1, pol2 = pair.materialize(states)
-                if independent_seeds:
-                    other = InducedPolicyPair(model, int(m), horizon,
-                                              derive_seed(int(seed), _INDEPENDENT_TAG),
-                                              selection, node_budget)
-                    _, pol2 = other.materialize(states)
-                    nodes = pair.nodes_expanded + other.nodes_expanded
-                else:
-                    nodes = pair.nodes_expanded
-                root = pair.plan(start, horizon - 1)
-                qerr1 = abs(root.q_hats[0] - exact_root.q_hats[0])
-                qerr2 = abs(root.q_hats[1] - exact_root.q_hats[1])
+                nodes = pair.nodes_expanded
+            root = pair.plan(start, horizon - 1)
+            qerr1 = abs(root.q_hats[0] - exact_root.q_hats[0])
+            qerr2 = abs(root.q_hats[1] - exact_root.q_hats[1])
             gap1, gap2 = nash_certificate(game, pol1, pol2, horizon, start)
             rows.append(GapRow(m, int(seed), gap1, gap2, qerr1, qerr2, nodes))
     return rows

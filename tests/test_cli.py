@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sgplan import (DimensionMismatch, GameFileError, MissingPolicyEntry,
                     TimeDependentPolicy, as_generative, induced_policy, load_game,
                     load_policy_pair, random_game, save_game, save_policy_pair,
                     single_state_game)
+from sgplan import io as sgio
 from sgplan.io import write_trace
 
 from conftest import run_cli
@@ -157,6 +159,53 @@ class TestTraces:
         assert lines[0] == "x,y"
         assert lines[1] == f"1,{1 / 3!r}"
         assert float(lines[1].split(",")[1]) == 1 / 3
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trace(path, ("x",), [(1,)])
+        before = path.read_bytes()
+        with pytest.raises(GameFileError):  # the second row fails after the first is written
+            write_trace(path, ("x",), [(2,), (float("nan"),)])
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+    def test_interrupted_save_keeps_the_old_file(self, tmp_path, game_file, monkeypatch):
+        before = game_file.read_bytes()
+
+        def partial_dump(doc, fh, **kwargs):
+            fh.write('{"version": 1,')
+            raise OSError("no space left on device")
+        monkeypatch.setattr(sgio.json, "dump", partial_dump)
+        with pytest.raises(OSError, match="no space"):
+            save_game(random_game(2, 2, 2, 1, 1.0, seed=3), game_file)
+        assert game_file.read_bytes() == before
+        assert os.listdir(tmp_path) == ["game.json"]
+
+    def test_new_file_has_the_plain_open_mode(self, tmp_path):
+        save_game(random_game(2, 2, 2, 1, 1.0, seed=3), tmp_path / "g.json")
+        (tmp_path / "plain").write_text("")
+        assert (os.stat(tmp_path / "g.json").st_mode
+                == os.stat(tmp_path / "plain").st_mode)
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("argv, name, text", [
+        (["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json", "5"),
+        (["certify", "--game", "game.json", "--horizon", "2", "--policy", "p.json"],
+         "p.json", "5"),
+        (["run-suite", "suite.json"], "suite.json", "[1]"),
+        (["run-suite", "suite.json"], "suite.json", '{"experiments": [5]}'),
+        (["run-suite", "suite.json"], "suite.json", '{"experiments": 5}'),
+        (["run-suite", "suite.json"], "suite.json", '{"experiments": ['),
+    ])
+    def test_exits_one_without_traceback(self, tmp_path, game_file, argv, name, text):
+        (tmp_path / name).write_text(text)
+        r = run_cli(argv, tmp_path)
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestCommands:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from sgplan import (DegenerateGame, SelectionFailure, TimeDependentPolicy,
+from sgplan import (DegenerateGame, MatrixGame, SelectionFailure, TimeDependentPolicy,
                     best_response_dp, finite_vi, nash_certificate, nash_select,
-                    policy_value, random_game)
+                    policy_value, random_game, security_select)
+from sgplan.finite_planner import select_level
 
 from conftest import game_as_dict, policy_as_fn
 from oracles import (brute_force_best_response, eval_policy_recursive,
@@ -198,3 +201,37 @@ class TestNashCertificate:
         pol = constant_policy(4, 4, [0.5, 0.5])
         g1, g2 = nash_certificate(game, pol, pol, 4, 0)
         assert g1 >= -1e-10 and g2 >= -1e-10
+
+
+class TestSelectLevel:
+    @pytest.mark.parametrize("selection", [nash_select, security_select])
+    def test_arrays_are_the_stacked_per_pair_selections(self, selection):
+        q1, q2 = np.random.default_rng(11).uniform(-1, 1, (2, 8, 3, 3))
+        rows, cols, v1, v2 = select_level(selection, q1, q2, range(8), 0)
+        want = [selection(MatrixGame(a, b)) for a, b in zip(q1, q2)]
+        assert np.array_equal(rows, np.stack([p.row.probs for p in want]))
+        assert np.array_equal(cols, np.stack([p.col.probs for p in want]))
+        assert np.array_equal(v1, np.array([p.value1 for p in want]))
+        assert np.array_equal(v2, np.array([p.value2 for p in want]))
+
+    def test_failure_names_the_failing_pair(self):
+        made = itertools.count()
+
+        def select(game):
+            if next(made) == 2:
+                raise DegenerateGame("boom")
+            return nash_select(game)
+        q = np.zeros((4, 2, 2))
+        with pytest.raises(SelectionFailure, match=r"state=7, t=5") as info:
+            select_level(select, q, q, [3, 5, 7, 9], 5)
+        assert (info.value.state, info.value.t) == (7, 5)
+
+    def test_table_profiles_are_the_selected_profiles(self):
+        game = random_game(4, 3, 3, 2, 1.0, seed=23)
+        table = finite_vi(game, 3).table
+        for s, per_state in enumerate(table.profiles):
+            for t, prof in enumerate(per_state):
+                want = nash_select(MatrixGame(table.q1[s, t], table.q2[s, t]))
+                assert np.array_equal(prof.row.probs, want.row.probs)
+                assert np.array_equal(prof.col.probs, want.col.probs)
+                assert (prof.value1, prof.value2) == (want.value1, want.value2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -458,6 +460,16 @@ class TestGapExperiment:
         assert rows[0].gap1 == pytest.approx(want[0], abs=1e-9)
         assert rows[0].gap2 == pytest.approx(want[1], abs=1e-9)
         assert rows[0].qerr1 == 0.0
+
+    def test_exact_row_computed_once_per_call(self, three_state_game):
+        select, calls = counting(nash_select)
+        once = gap_experiment(three_state_game, 3, ["exact"], seeds=[0], selection=select)
+        one_seed = len(calls)
+        calls.clear()
+        rows = gap_experiment(three_state_game, 3, ["exact"], seeds=range(3), selection=select)
+        assert len(calls) == one_seed
+        assert [r.seed for r in rows] == [0, 1, 2]
+        assert all(dataclasses.replace(r, seed=0) == once[0] for r in rows)
 
     def test_horizon_zero_rejected(self, three_state_game):
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
