@@ -342,3 +342,67 @@ class TestSelection:
             prof = security_select(game)
             g1, g2 = epsilon_nash_gap(game, prof)
             assert max(g1, g2) <= 1e-9
+
+
+class TestBitContract:
+    """Every output bit of the bimatrix layer on a fixed battery.
+
+    The other tests check these paths within tolerances; this one fixes the
+    exact bytes, so a refactor of the enumeration core cannot move a single
+    strategy or value bit (for example a signed zero) unnoticed.  A few of
+    the battery's games reach the vertex-pair fallback, and the near-singular
+    matrices reach the maximin re-solve by enumeration.
+    """
+
+    # recorded before the array core replaced the profile objects inside
+    # matrix_games; a change here means an output bit moved
+    DIGEST = "4dcd429acc1d8ea59c43f18afed93a7bdeecb8a699c5b144927dc5cc11c1a089"
+
+    NEAR_SINGULAR = [
+        [[0, 0, -1e-10], [0, 1, 0], [1, 0, 1]],
+        [[0, 0, -1e-10], [0, 0, 0], [1, 1, 1]],
+        [[-9, 8e-8, -2e-8], [8e-8, 2e-8, 4], [1e-7, -6e-8, 4e-8]],
+        [[0.0, -10.0], [1e-8, 0.0]],
+        [[1.0, 0.0, 0.0, -1.0], [-6.0, 5.96046448e-08, 0.0, 0.0]],
+        [[0.0, 1e-8, 0.0], [2.0, -1e-10, 5.0], [2.0, 0.0, 0.0]],
+    ]
+
+    @classmethod
+    def battery(cls):
+        rng = np.random.default_rng(123)
+        for n1 in range(1, 6):
+            for n2 in range(1, 6):
+                for _ in range(10):
+                    m1, m2 = rng.uniform(-1, 1, (2, n1, n2))
+                    yield MatrixGame(m1, m2)
+                    yield MatrixGame.zero_sum(rng.uniform(-1, 1, (n1, n2)))
+                    m1, m2 = rng.integers(-3, 4, (2, n1, n2))
+                    yield MatrixGame(m1, m2)
+                    yield MatrixGame.zero_sum(rng.integers(-3, 4, (n1, n2)))
+        for mat in cls.NEAR_SINGULAR:
+            mat = np.array(mat, dtype=float)
+            yield MatrixGame.zero_sum(mat)
+            yield MatrixGame.zero_sum(-mat.T)
+
+    def test_outputs_bit_identical(self):
+        import hashlib
+
+        digest = hashlib.sha256()
+
+        def feed(prof):
+            for arr in (prof.row.probs, prof.col.probs,
+                        np.float64(prof.value1), np.float64(prof.value2)):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+
+        games = 0
+        for game in self.battery():
+            games += 1
+            feed(nash_select(game))
+            feed(security_select(game))
+            profiles = enumerate_nash(game)
+            digest.update(len(profiles).to_bytes(4, "little"))
+            for prof in profiles:
+                feed(prof)
+            feed(solve_zero_sum(game.payoff1))
+        assert games == 1012
+        assert digest.hexdigest() == self.DIGEST
