@@ -33,13 +33,7 @@ import numpy as np
 
 from .errors import SgError, SelectionFailure
 from .game_model import StochasticGame, TimeDependentPolicy
-from .matrix_games import MatrixGame, MixedStrategy, SelectionFunction, StrategyProfile, nash_select
-
-
-def level_profile(rows, cols, values1, values2, key) -> StrategyProfile:
-    """The profile at `key` of strategy and value arrays from `select_level`."""
-    return StrategyProfile(MixedStrategy(rows[key]), MixedStrategy(cols[key]),
-                           float(values1[key]), float(values2[key]))
+from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, nash_select
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,8 @@ class BackupTable:
         return (self.q1 if player == 1 else self.q2)[state, t]
 
     def profile(self, state: int, t: int) -> StrategyProfile:
-        return level_profile(self.rows, self.cols, self.values1, self.values2, (state, t))
+        return StrategyProfile.of(self.rows[state, t], self.cols[state, t],
+                                  self.values1[state, t], self.values2[state, t])
 
     @property
     def profiles(self) -> tuple[tuple[StrategyProfile, ...], ...]:  # [state][t]

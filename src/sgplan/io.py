@@ -31,7 +31,11 @@ def _atomic_open(path, **kwargs):
     """A text file whose contents replace `path` when the block exits normally;
     on an exception it is removed.  Plain `open` keeps the umask's mode."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", **kwargs)
+    try:
+        fh = open(tmp, "w", **kwargs)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # report the file asked for, not the temporary
+        raise
     try:
         with fh:
             yield fh
@@ -73,9 +77,9 @@ def save_game(game: StochasticGame, path) -> None:
         fh.write("\n")
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, path, kind: str = "game"):
     if key not in doc:
-        raise GameFileError(f"game file is missing required key '{key}'")
+        raise GameFileError(f"{kind} file {path}: missing required key '{key}'")
     return doc[key]
 
 
@@ -87,17 +91,17 @@ def load_game(path) -> StochasticGame:
     written by `save_game` round-trip entrywise exactly.
     """
     doc = read_json_object(path)
-    version = _require(doc, "version")
+    version = _require(doc, "version", path)
     if version != GAME_FILE_VERSION:
         raise GameFileError(f"{path}: unsupported version {version!r}")
-    n_states = int(_require(doc, "n_states"))
-    n1 = int(_require(doc, "n_row_actions"))
-    n2 = int(_require(doc, "n_col_actions"))
-    start_state = int(_require(doc, "start_state"))
-    r_max = float(_require(doc, "r_max"))
+    n_states = int(_require(doc, "n_states", path))
+    n1 = int(_require(doc, "n_row_actions", path))
+    n2 = int(_require(doc, "n_col_actions", path))
+    start_state = int(_require(doc, "start_state", path))
+    r_max = float(_require(doc, "r_max", path))
     try:
-        payoffs1 = np.array(_require(doc, "payoffs1"), dtype=float)
-        payoffs2 = np.array(_require(doc, "payoffs2"), dtype=float)
+        payoffs1 = np.array(_require(doc, "payoffs1", path), dtype=float)
+        payoffs2 = np.array(_require(doc, "payoffs2", path), dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFileError(f"{path}: payoff arrays are malformed: {exc}") from exc
     if payoffs1.shape != (n_states, n1, n2):
@@ -107,7 +111,7 @@ def load_game(path) -> StochasticGame:
         raise GameFileError(f"{path}: payoffs2 has shape {payoffs2.shape}, "
                             f"expected {(n_states, n1, n2)}")
 
-    raw_transitions = _require(doc, "transitions")
+    raw_transitions = _require(doc, "transitions", path)
     transitions = np.zeros((n_states, n1, n2, n_states))
     try:
         for s, i, j in itertools.product(range(n_states), range(n1), range(n2)):
@@ -163,8 +167,8 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     """Parse a policy file whose table is complete: every (state, t) with
     0 <= state <= the largest state and 0 <= t < horizon, exactly once."""
     doc = read_json_object(path)
-    horizon = int(_require(doc, "horizon"))
-    entries = _require(doc, "entries")
+    horizon = int(_require(doc, "horizon", path, "policy"))
+    entries = _require(doc, "entries", path, "policy")
     if not entries:
         raise GameFileError(f"{path}: policy file has no entries")
     try:

@@ -7,13 +7,14 @@ security levels, support-enumeration of all Nash equilibria, and the two
 deterministic selection functions (`nash_select`, `security_select`) the
 planners compose state by state.
 
-Support enumeration visits support pairs in a fixed canonical order --
-ascending (|support_row| + |support_col|, |support_row|, lexicographic row
-support, lexicographic column support) -- so that selection is a pure
-function of the matrix entries and golden tests are possible.  A degenerate
-game can leave that order empty (its equilibria need supports of unequal
-size); selection then falls back to the vertex pairs of the best-response
-polytopes, in a fixed order too.
+Enumeration is one core over payoff arrays, `_equilibria(m1, m2, cap)`,
+yielding (alpha, beta, value1, value2); the public functions wrap its
+arrays through `StrategyProfile.of`.  It visits support pairs of equal size
+(unequal ones carry no isolated equilibrium) in a fixed canonical order --
+ascending (size, lexicographic row support, lexicographic column support) --
+so that selection is a pure function of the matrix entries.  A degenerate
+game can leave that order empty; the core then falls back to the vertex
+pairs of the best-response polytopes, in a fixed order too.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import numpy as np
 from .errors import DegenerateGame, DimensionMismatch, EnumerationCapExceeded, SgError
 from .simplex import maximin
 
+# Enumeration applies SUPPORT_TOL and VERIFY_TOL times the payoff scale
+# max(1, max|payoff1|, max|payoff2|) of the game at hand.
 #: probabilities above this count as support membership; feasibility slack.
 SUPPORT_TOL = 1e-9
-#: accept an enumerated equilibrium only if its Nash gap is below this.
+#: accept an enumerated equilibrium only if its Nash gap is at most this.
 VERIFY_TOL = 1e-8
 #: largest per-player action count support enumeration will attempt.
 ENUMERATION_CAP = 8
@@ -142,6 +145,12 @@ class StrategyProfile:
     value1: float
     value2: float
 
+    @staticmethod
+    def of(row, col, value1, value2) -> "StrategyProfile":
+        """The profile of two probability arrays and their values."""
+        return StrategyProfile(MixedStrategy(row), MixedStrategy(col),
+                               float(value1), float(value2))
+
 
 SelectionFunction = Callable[[MatrixGame], StrategyProfile]
 
@@ -178,19 +187,27 @@ def epsilon_nash_gap(game: MatrixGame, profile: StrategyProfile) -> tuple[float,
     nonnegative up to rounding (~1e-12).
     """
     _check_lengths(game, profile.row, profile.col)
-    row_payoffs = game.payoff1 @ profile.col.probs
-    col_payoffs = profile.row.probs @ game.payoff2
-    g1 = float(row_payoffs.max() - profile.row.probs @ row_payoffs)
-    g2 = float(col_payoffs.max() - col_payoffs @ profile.col.probs)
-    return g1, g2
+    return _gaps(game.payoff1, game.payoff2, profile.row.probs, profile.col.probs)
+
+
+def _gaps(m1, m2, alpha, beta) -> tuple[float, float]:
+    row_payoffs = m1 @ beta
+    col_payoffs = alpha @ m2
+    return (float(row_payoffs.max() - alpha @ row_payoffs),
+            float(col_payoffs.max() - col_payoffs @ beta))
+
+
+def _scale(*mats) -> float:
+    return max(1.0, *(np.abs(m).max() for m in mats))
 
 
 def _maximin(matrix) -> tuple[np.ndarray, np.ndarray, float]:
     """The simplex `maximin`, certified by its duality gap.
 
     A near-singular basis can leave the simplex short of the optimum (or
-    with no strategy at all); the zero-sum equilibrium from `nash_select`,
-    whose row strategy is a maximin strategy, then takes its place.
+    with no strategy at all); the first zero-sum equilibrium from
+    enumeration, whose row strategy is a maximin strategy, then takes its
+    place.
     """
     mat = np.asarray(matrix, dtype=float)
     try:
@@ -199,11 +216,10 @@ def _maximin(matrix) -> tuple[np.ndarray, np.ndarray, float]:
         if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
             raise  # malformed input, not a numerical failure
     else:
-        gap = (mat @ beta).max() - value
-        if gap <= _DUALITY_TOL or gap <= _DUALITY_TOL * np.abs(mat).max():
+        if (mat @ beta).max() - value <= _DUALITY_TOL * _scale(mat):
             return alpha, beta, value
-    profile = nash_select(MatrixGame.zero_sum(mat))
-    return profile.row.probs, profile.col.probs, float((profile.row.probs @ mat).min())
+    alpha, beta, _, _ = next(_equilibria(mat, -mat, ENUMERATION_CAP))
+    return alpha, beta, float((alpha @ mat).min())
 
 
 def solve_zero_sum(matrix) -> StrategyProfile:
@@ -213,7 +229,7 @@ def solve_zero_sum(matrix) -> StrategyProfile:
     value2 its negation; the returned pair is a Nash pair of the game.
     """
     alpha, beta, value = _maximin(matrix)
-    return StrategyProfile(MixedStrategy(alpha), MixedStrategy(beta), value, -value)
+    return StrategyProfile.of(alpha, beta, value, -value)
 
 
 def security_level(game: MatrixGame, player: int) -> tuple[MixedStrategy, float]:
@@ -222,31 +238,26 @@ def security_level(game: MatrixGame, player: int) -> tuple[MixedStrategy, float]
     Each player maximins their own payoff matrix: payoff1 for the row
     player, transpose(payoff2) for the column player.
     """
-    if player == 1:
-        alpha, _, value = _maximin(game.payoff1)
-    elif player == 2:
-        alpha, _, value = _maximin(game.payoff2.T)
-    else:
+    if player not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player}")
+    alpha, _, value = _maximin(game.payoff1 if player == 1 else game.payoff2.T)
     return MixedStrategy(alpha), value
 
 
 def security_select(game: MatrixGame) -> StrategyProfile:
     """Deterministic security selection: both security strategies, with
     value_k the guarantee level s_k (not the expected payoff of the pair)."""
-    row, s1 = security_level(game, 1)
-    col, s2 = security_level(game, 2)
-    return StrategyProfile(row, col, s1, s2)
+    alpha, _, s1 = _maximin(game.payoff1)
+    beta, _, s2 = _maximin(game.payoff2.T)
+    return StrategyProfile.of(alpha, beta, s1, s2)
 
 
 def _support_pairs(n1: int, n2: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # canonical order: ascending (k1+k2, k1, lex sup1, lex sup2)
-    for total in range(2, n1 + n2 + 1):
-        for k1 in range(max(1, total - n2), min(n1, total - 1) + 1):
-            k2 = total - k1
-            for sup1 in itertools.combinations(range(n1), k1):
-                for sup2 in itertools.combinations(range(n2), k2):
-                    yield sup1, sup2
+    # canonical order: ascending (k, lex sup1, lex sup2), both supports of size k
+    for k in range(1, min(n1, n2) + 1):
+        for sup1 in itertools.combinations(range(n1), k):
+            for sup2 in itertools.combinations(range(n2), k):
+                yield sup1, sup2
 
 
 def _solve_linear(a: np.ndarray, b: np.ndarray):
@@ -279,30 +290,22 @@ def _indifference(block: np.ndarray):
     return None if sol is None else (sol[:k2], sol[k2])
 
 
-def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
-                         tie: float) -> StrategyProfile | None:
-    """Candidate equilibrium with the exact supports (sup1, sup2), if the
-    indifference conditions and best-response checks admit one.
+def _profile_on_supports(m1, m2, sup1, sup2, tol: float, tie: float):
+    """Candidate equilibrium (alpha, beta, value1, value2) with the exact
+    supports (sup1, sup2) of equal size, if the indifference conditions and
+    best-response checks admit one; else None.
 
     tol is the slack on support probabilities; a deviation must gain more
     than tie, a rounding-level slack, to rule the candidate out. A looser
     deviation slack would admit near-equilibria ahead of the exact ones.
     """
-    m1, m2 = game.payoff1, game.payoff2
-    k1, k2 = len(sup1), len(sup2)
-    if k1 != k2:
-        # one player's indifference system is then underdetermined, so the
-        # pair can only carry a solution continuum, never one equilibrium
-        return None
-
-    if k1 == 1:
+    if len(sup1) == 1:
         i, j = sup1[0], sup2[0]
         v1 = m1[i, j]
         v2 = m2[i, j]
         if m1[:, j].max() > v1 + tie or m2[i, :].max() > v2 + tie:
             return None
-        return StrategyProfile(MixedStrategy.pure(game.rows, i), MixedStrategy.pure(game.cols, j),
-                               float(v1), float(v2))
+        return np.eye(m1.shape[0])[i], np.eye(m1.shape[1])[j], float(v1), float(v2)
 
     r1 = np.asarray(sup1)
     c2 = np.asarray(sup2)
@@ -315,8 +318,8 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
     # the solution must live on exactly the declared supports
     if beta_s.min() <= tol or alpha_s.min() <= tol:
         return None
-    alpha = np.zeros(game.rows)
-    beta = np.zeros(game.cols)
+    alpha = np.zeros(m1.shape[0])
+    beta = np.zeros(m1.shape[1])
     alpha[r1] = alpha_s / alpha_s.sum()
     beta[c2] = beta_s / beta_s.sum()
     # no profitable pure deviation outside the supports, measured against the
@@ -325,23 +328,7 @@ def _profile_on_supports(game: MatrixGame, sup1, sup2, tol: float,
     pay2 = alpha @ m2
     if pay1.max() > pay1[r1].max() + tie or pay2.max() > pay2[c2].max() + tie:
         return None
-    row = MixedStrategy(alpha)
-    col = MixedStrategy(beta)
-    value1 = float(alpha @ m1 @ beta)
-    value2 = float(alpha @ m2 @ beta)
-    return StrategyProfile(row, col, value1, value2)
-
-
-def _scale(game: MatrixGame) -> float:
-    return max(1.0, np.abs(game.payoff1).max(), np.abs(game.payoff2).max())
-
-
-def _verified(game: MatrixGame, candidates: Iterator[StrategyProfile]) -> Iterator[StrategyProfile]:
-    scale = _scale(game)
-    for profile in candidates:
-        g1, g2 = epsilon_nash_gap(game, profile)
-        if max(g1, g2) <= VERIFY_TOL * scale:
-            yield profile
+    return alpha, beta, float(alpha @ m1 @ beta), float(alpha @ m2 @ beta)
 
 
 def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]]:
@@ -365,16 +352,16 @@ def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]
     return out
 
 
-def _vertex_pairs(game: MatrixGame) -> Iterator[StrategyProfile]:
+def _vertex_pairs(m1, m2):
     """Extreme equilibria as completely labelled vertex pairs of the two
     best-response polytopes (Avis, Rosenberg, Savani & von Stengel, 2010).
 
     The fallback for degenerate games, where an equilibrium may need
     supports of unequal size. Every game has an extreme equilibrium, so this
-    yields at least one; pairs come row vertex first, in vertex order.
+    yields at least one; pairs come row vertex first, in vertex order, as
+    (alpha, beta, value1, value2).
     """
-    n1, n2 = game.rows, game.cols
-    m1, m2 = game.payoff1, game.payoff2
+    n1, n2 = m1.shape
 
     def positive(m):  # same equilibria, entries in [1, 2]
         return (m - m.min()) / ((m.max() - m.min()) or 1.0) + 1.0
@@ -391,32 +378,33 @@ def _vertex_pairs(game: MatrixGame) -> Iterator[StrategyProfile]:
     for x, x_labels in _vertices(row_g, row_h):
         for y, y_labels in col_vertices:
             if x_labels | y_labels == everything:
-                row = MixedStrategy(x / x.sum())
-                col = MixedStrategy(y / y.sum())
-                yield StrategyProfile(row, col, float(row.probs @ m1 @ col.probs),
-                                      float(row.probs @ m2 @ col.probs))
+                alpha, beta = x / x.sum(), y / y.sum()
+                yield alpha, beta, float(alpha @ m1 @ beta), float(alpha @ m2 @ beta)
 
 
-def _equilibria(game: MatrixGame, cap: int) -> Iterator[StrategyProfile]:
-    """The one source of `enumerate_nash` and `nash_select`."""
-    if game.rows > cap or game.cols > cap:
+def _equilibria(m1: np.ndarray, m2: np.ndarray, cap: int):
+    """Every equilibrium (alpha, beta, value1, value2) of (m1, m2) that passes
+    the Nash-gap check: from the canonical support order, or from the vertex
+    pairs when that order yields none."""
+    n1, n2 = m1.shape
+    if n1 > cap or n2 > cap:
         raise EnumerationCapExceeded(
-            f"support enumeration capped at {cap} actions per player, "
-            f"game is {game.rows}x{game.cols}")
-    scale = _scale(game)
-    candidates = (_profile_on_supports(game, sup1, sup2, SUPPORT_TOL * scale, _TIE_TOL * scale)
-                  for sup1, sup2 in _support_pairs(game.rows, game.cols))
-    profiles = _verified(game, (p for p in candidates if p is not None))
-    first = next(profiles, None)
-    if first is None:
-        profiles = _verified(game, _vertex_pairs(game))
-        first = next(profiles, None)
-    if first is None:
-        raise DegenerateGame(
-            f"no equilibrium survived verification at tolerance {VERIFY_TOL} "
-            f"(support tolerance {SUPPORT_TOL}); the game is numerically degenerate")
-    yield first
-    yield from profiles
+            f"support enumeration capped at {cap} actions per player, game is {n1}x{n2}")
+    scale = _scale(m1, m2)
+    candidates = (_profile_on_supports(m1, m2, sup1, sup2, SUPPORT_TOL * scale, _TIE_TOL * scale)
+                  for sup1, sup2 in _support_pairs(n1, n2))
+    for source in ((c for c in candidates if c is not None), _vertex_pairs(m1, m2)):
+        found = False
+        for eq in source:
+            if max(_gaps(m1, m2, eq[0], eq[1])) <= VERIFY_TOL * scale:
+                found = True
+                yield eq
+        if found:
+            return
+    raise DegenerateGame(
+        f"no equilibrium survived verification at Nash-gap tolerance {VERIFY_TOL * scale:g} "
+        f"and support tolerance {SUPPORT_TOL * scale:g} (VERIFY_TOL and SUPPORT_TOL times "
+        f"the payoff scale {scale:g}); the game is numerically degenerate")
 
 
 def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[StrategyProfile]:
@@ -427,7 +415,7 @@ def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[Strateg
     EnumerationCapExceeded above the size cap and DegenerateGame if no
     candidate of either survives verification.
     """
-    return list(_equilibria(game, cap))
+    return [StrategyProfile.of(*eq) for eq in _equilibria(game.payoff1, game.payoff2, cap)]
 
 
 def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile:
@@ -436,4 +424,4 @@ def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile
 
     Deterministic: entrywise-identical inputs give bit-identical output.
     """
-    return next(_equilibria(game, cap))
+    return StrategyProfile.of(*next(_equilibria(game.payoff1, game.payoff2, cap)))

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import _check_horizon, level_profile, nash_certificate, select_level
+from .finite_planner import _check_horizon, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import MixedStrategy, SelectionFunction, StrategyProfile, nash_select
 
@@ -227,8 +227,8 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         q1, q2 = q1[0], q2[0]
     q1.setflags(write=False)
     q2.setflags(write=False)
-    return SparsePlanResult(level_profile(rows, cols, v1, v2, 0), (float(v1[0]), float(v2[0])),
-                            (q1, q2), nodes)
+    return SparsePlanResult(StrategyProfile.of(rows[0], cols[0], v1[0], v2[0]),
+                            (float(v1[0]), float(v2[0])), (q1, q2), nodes)
 
 
 def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionFunction):
@@ -266,8 +266,8 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
     (q1,), (q2,), rows, cols, v1, v2 = _exact_levels(game, reach, selection)[-1]
     q1.setflags(write=False)
     q2.setflags(write=False)
-    return SparsePlanResult(level_profile(rows, cols, v1, v2, 0), (float(v1[0]), float(v2[0])),
-                            (q1, q2), int(reach.sum()))
+    return SparsePlanResult(StrategyProfile.of(rows[0], cols[0], v1[0], v2[0]),
+                            (float(v1[0]), float(v2[0])), (q1, q2), int(reach.sum()))
 
 
 def _exact_policies(game: StochasticGame, horizon: int, selection: SelectionFunction):

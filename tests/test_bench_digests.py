@@ -25,3 +25,18 @@ def test_seed_zero_matches_reference(workload):
     assert f"digest {workload} seed=0: " in r.stdout
     assert "(matches reference)" in r.stdout, r.stdout
     assert json.loads(r.stdout.splitlines()[-1])["correct"] is True, r.stdout
+
+
+@pytest.mark.parametrize("workload", ["finite-exact", "sparse-sampling", "discounted-security"])
+def test_traced_run_reports_every_layer(workload):
+    # the traced round wraps module-level names of sgplan; a renamed one fails here
+    r = subprocess.run([sys.executable, str(RUN), "--workload", workload, "--seed", "0",
+                        "--seconds", "0", "--trace", "1"],
+                       cwd=RUN.parents[1], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert "(matches reference)" in r.stdout, r.stdout
+    result = json.loads(r.stdout.splitlines()[-1])
+    assert result["correct"] is True, r.stdout
+    declared = json.loads((RUN.parents[1] / "BENCHMARK.json").read_text())["per_layer"]
+    missing = [m["name"] for m in declared if m["name"] not in result["metrics"]]
+    assert not missing, missing

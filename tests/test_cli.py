@@ -144,6 +144,18 @@ class TestPolicyFiles:
         with pytest.raises(ValueError, match="not a probability vector"):
             load_policy_pair(path)
 
+    @pytest.mark.parametrize("load, text, kind, key", [
+        (load_policy_pair, '{"entries": []}', "policy", "horizon"),
+        (load_policy_pair, '{"horizon": 2}', "policy", "entries"),
+        (load_game, "{}", "game", "version"),
+    ])
+    def test_missing_key_names_the_file(self, tmp_path, load, text, kind, key):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(GameFileError) as info:
+            load(path)
+        assert str(info.value) == f"{kind} file {path}: missing required key '{key}'"
+
 
 class TestTraces:
     def test_non_finite_refused(self, tmp_path):
@@ -182,6 +194,13 @@ class TestAtomicWrites:
             save_game(random_game(2, 2, 2, 1, 1.0, seed=3), game_file)
         assert game_file.read_bytes() == before
         assert os.listdir(tmp_path) == ["game.json"]
+
+    def test_failed_open_names_the_target(self, tmp_path):
+        r = run_cli(["generate", "--states", "2", "--rows", "2", "--cols", "2",
+                     "--branching", "1", "--seed", "1", "--out", "nodir/g.json"], tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == "error: [Errno 2] No such file or directory: 'nodir/g.json'\n"
+        assert list(tmp_path.rglob("*")) == []
 
     def test_new_file_has_the_plain_open_mode(self, tmp_path):
         save_game(random_game(2, 2, 2, 1, 1.0, seed=3), tmp_path / "g.json")
