@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -9,6 +10,7 @@ from sgplan import (DimensionMismatch, GameFileError, MissingPolicyEntry,
                     load_policy_pair, random_game, save_game, save_policy_pair,
                     single_state_game)
 from sgplan import io as sgio
+from sgplan.cli import main
 from sgplan.io import write_trace
 
 from conftest import run_cli
@@ -443,3 +445,40 @@ class TestDeterminism:
                 outputs.append(tuple((tmp_path / (tag + ext)).read_bytes()
                                      for ext in exts))
             assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestByteContract:
+    """Every CLI byte at fixed seeds: stdout, exit code and written files of a
+    fixed command list, run in process, hashed into one constant."""
+
+    GAMES = (["--states", "3", "--rows", "2", "--cols", "2", "--branching", "2",
+              "--seed", "7", "--out", "g.json"],
+             ["--states", "3", "--rows", "2", "--cols", "3", "--branching", "2",
+              "--seed", "5", "--zero-sum", "--out", "z.json"])
+    COMMANDS = (
+        ["solve-finite", "--game", "g.json", "--horizon", "3", "--out-policy", "p.json",
+         "--trace", "t.csv"],
+        ["certify", "--game", "g.json", "--horizon", "3", "--policy", "p.json"],
+        ["certify", "--game", "g.json", "--horizon", "3", "--policy", "p.json", "--start", "2"],
+        ["sparse-plan", "--game", "g.json", "--t", "2", "--m", "2", "--seed", "5"],
+        ["sparse-plan", "--model", "z.json", "--state", "1", "--t", "1", "--m", "3",
+         "--seed", "4"],
+        ["gap-experiment", "--game", "g.json", "--horizon", "2", "--m-list", "1,4,exact",
+         "--seeds", "3", "--out", "shared.csv"],
+        ["gap-experiment", "--game", "g.json", "--horizon", "2", "--m-list", "1,4,exact",
+         "--seeds", "3", "--independent-seeds", "--out", "independent.csv"],
+        ["solve-discounted", "--game", "z.json", "--gamma", "0.8", "--trace", "dz.csv"],
+        ["solve-discounted", "--game", "g.json", "--gamma", "0.8", "--trace", "dg.csv"],
+        ["probe-nash-mode", "--game", "g.json", "--gamma", "0.7"],
+    )
+    DIGEST = "4b03c03d6445822f87e8d6e70501d52bb75fa2a0b02cd0b6450f09fbe1c485d8"
+
+    def test_outputs_match_recorded_digest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        h = hashlib.sha256()
+        for argv in [["generate", *g] for g in self.GAMES] + list(self.COMMANDS):
+            code = main(argv)
+            h.update(f"{argv}\0{code}\0{capsys.readouterr().out}\0".encode())
+        for path in sorted(tmp_path.iterdir()):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert h.hexdigest() == self.DIGEST
