@@ -77,7 +77,7 @@ def _cmd_solve_finite(args) -> int:
 def _cmd_certify(args) -> int:
     game = load_game(args.game)
     policy1, policy2 = load_policy_pair(args.policy)
-    start = args.start if args.start is not None else game.start_state
+    start = game.state(args.start)
     g1, g2 = nash_certificate(game, policy1, policy2, args.horizon, start)
     print(f"gap1={g1!r} gap2={g2!r} (per-stage average units, start state {start})")
     return 0
@@ -86,7 +86,7 @@ def _cmd_certify(args) -> int:
 def _cmd_sparse_plan(args) -> int:
     game = load_game(args.model if args.model else args.game)
     model = as_generative(game)
-    state = args.state if args.state is not None else game.start_state
+    state = game.state(args.state)
     result = sparse_game(model, state, args.t, args.m, args.seed,
                          node_budget=args.budget)
     print(f"state={state} t={args.t} m={args.m} seed={args.seed}")
@@ -151,10 +151,7 @@ def _cmd_run_suite(args) -> int:
         argv = exp.get("argv")
         if not isinstance(argv, list) or not argv:
             raise GameFileError(f"{args.config}: experiment '{name}' has no argv list")
-        try:
-            code = main([str(a) for a in argv])
-        except SystemExit as exc:  # argparse usage error inside the experiment
-            code = int(exc.code or 0)
+        code = main([str(a) for a in argv])
         if code != 0:
             print(f"experiment '{name}' failed with exit code {code}", file=sys.stderr)
             return code
@@ -254,10 +251,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (SgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

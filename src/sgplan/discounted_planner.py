@@ -170,20 +170,20 @@ def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
                          tol: float = 1e-9) -> tuple[float, float]:
     """Shortfall of each player's claimed security value at `start`.
 
-    shortfall_k = claimed_k - (worst-case discounted value of player k's
-    policy); positive means the claim exceeds what the policy guarantees.
+    claimed_k holds one value per state, as `infinite_vi` returns them.
+    shortfall_k = claimed_k[start] - (worst-case discounted value of player
+    k's policy); positive means the claim exceeds what the policy guarantees.
     Converged zero-sum runs should show shortfalls <= ~1e-6.
     """
     _check_settings(gamma, tol)
-    if start is None:
-        start = game.start_state
-    claimed1 = np.asarray(claimed1, dtype=float).reshape(-1)
-    claimed2 = np.asarray(claimed2, dtype=float).reshape(-1)
-    worst1 = _worst_case_value(game, policy1, gamma, 1, tol)
-    worst2 = _worst_case_value(game, policy2, gamma, 2, tol)
-    c1 = claimed1[start] if claimed1.size > 1 else float(claimed1[0])
-    c2 = claimed2[start] if claimed2.size > 1 else float(claimed2[0])
-    return float(c1 - worst1[start]), float(c2 - worst2[start])
+    start = game.state(start)
+    claimed = [np.asarray(c, dtype=float) for c in (claimed1, claimed2)]
+    for k, c in enumerate(claimed, 1):
+        if c.shape != (game.n_states,):
+            raise ValueError(f"claimed{k} must hold one value per state, shape "
+                             f"({game.n_states},), got shape {c.shape}")
+    return tuple(float(c[start] - _worst_case_value(game, policy, gamma, player, tol)[start])
+                 for player, policy, c in ((1, policy1, claimed[0]), (2, policy2, claimed[1])))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import SgError, SelectionFailure
 from .game_model import StochasticGame, TimeDependentPolicy
-from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, nash_select
+from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, _by_player, nash_select
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class BackupTable:
     values2: np.ndarray
 
     def q(self, player: int, state: int, t: int) -> np.ndarray:
-        return (self.q1 if player == 1 else self.q2)[state, t]
+        return _by_player(player, self.q1, self.q2)[state, t]
 
     def profile(self, state: int, t: int) -> StrategyProfile:
         return StrategyProfile.of(self.rows[state, t], self.cols[state, t],
@@ -61,7 +61,7 @@ class BackupTable:
                      for s in range(len(self.rows)))
 
     def value(self, player: int, state: int, t: int) -> float:
-        return float((self.values1 if player == 1 else self.values2)[state, t])
+        return float(_by_player(player, self.values1, self.values2)[state, t])
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
                  start: int | None = None) -> tuple[float, float]:
     """Exact per-stage average returns of a fixed policy pair."""
     _check_horizon(horizon)
-    if start is None:
-        start = game.start_state
+    start = game.state(start)
     n_states = game.n_states
     a, b = policy1.dense(n_states, horizon), policy2.dense(n_states, horizon)
     w1 = w2 = np.zeros(n_states)
@@ -153,14 +152,13 @@ def best_response_dp(game: StochasticGame, opponent: TimeDependentPolicy,
     average value from `start`.
     """
     _check_horizon(horizon)
-    if start is None:
-        start = game.start_state
+    start = game.state(start)
     n_states = game.n_states
-    n_mine = game.n_row_actions if player == 1 else game.n_col_actions
-    if player == 1:  # reply: each own action's payoff against opp at t, per state
-        mine, reply = game.payoffs1, lambda q, opp_t: (q @ opp_t[:, :, None])[..., 0]
-    else:
-        mine, reply = game.payoffs2, lambda q, opp_t: (opp_t[:, None, :] @ q)[:, 0]
+    # reply(q, opp_t): each own action's payoff against opp at t, per state
+    n_mine, mine, reply = _by_player(
+        player,
+        (game.n_row_actions, game.payoffs1, lambda q, opp_t: (q @ opp_t[:, :, None])[..., 0]),
+        (game.n_col_actions, game.payoffs2, lambda q, opp_t: (opp_t[:, None, :] @ q)[:, 0]))
     opp = opponent.dense(n_states, horizon)
     best = np.zeros(n_states)
     actions = np.zeros((n_states, horizon), dtype=np.int64)

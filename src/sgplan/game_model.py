@@ -67,7 +67,14 @@ class StochasticGame:
     def n_col_actions(self) -> int:
         return self.payoffs1.shape[2]
 
+    def state(self, s: int | None = None) -> int:
+        """The state a `start`/`state` argument names: `start_state` for None."""
+        if s is not None and not 0 <= s < self.n_states:
+            raise ValueError(f"state {s} not in 0..{self.n_states - 1}")
+        return self.start_state if s is None else s
+
     def stage_game(self, state: int) -> MatrixGame:
+        state = self.state(state)
         return MatrixGame(self.payoffs1[state], self.payoffs2[state],
                           is_zero_sum=self.is_zero_sum)
 

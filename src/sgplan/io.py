@@ -135,8 +135,9 @@ def load_game(path) -> StochasticGame:
     if np.any(drift):
         transitions = transitions / sums[..., None]
 
-    game = StochasticGame(payoffs1, payoffs2, transitions,
-                          start_state=start_state, r_max=r_max)
+    # the format keeps no zero-sum flag: a file with payoffs2 == -payoffs1 is one
+    game = StochasticGame(payoffs1, payoffs2, transitions, start_state=start_state,
+                          r_max=r_max, is_zero_sum=np.array_equal(payoffs2, -payoffs1))
     report = validate(game)
     if not report.ok:
         raise GameFileError(f"{path}: game fails validation:\n{report}")

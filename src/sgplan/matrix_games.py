@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DegenerateGame, DimensionMismatch, EnumerationCapExceeded, SgError
-from .simplex import maximin
+from .simplex import maximin, onto_one_two
 
 # Enumeration applies SUPPORT_TOL and VERIFY_TOL times the payoff scale
 # max(1, max|payoff1|, max|payoff2|) of the game at hand.
@@ -49,6 +49,13 @@ _COND_LIMIT = 1e12
 def _frozen(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _by_player(player: int, first, second):
+    """first for player 1 (the row player), second for player 2."""
+    if player not in (1, 2):
+        raise ValueError(f"player must be 1 or 2, got {player}")
+    return first if player == 1 else second
 
 
 @dataclass(frozen=True)
@@ -120,11 +127,7 @@ class MatrixGame:
         return self.payoff1.shape[1]
 
     def payoff(self, player: int) -> np.ndarray:
-        if player == 1:
-            return self.payoff1
-        if player == 2:
-            return self.payoff2
-        raise ValueError(f"player must be 1 or 2, got {player}")
+        return _by_player(player, self.payoff1, self.payoff2)
 
     @classmethod
     def zero_sum(cls, matrix, r_max: float | None = None) -> "MatrixGame":
@@ -170,12 +173,9 @@ def expected_payoff(game: MatrixGame, player: int, row: MixedStrategy, col: Mixe
 
 def best_response(game: MatrixGame, player: int, opponent: MixedStrategy) -> tuple[int, float]:
     """Best pure reply (lowest index on ties) and its expected payoff."""
-    if player == 1:
-        _check_lengths(game, None, opponent)
-        payoffs = game.payoff1 @ opponent.probs
-    else:
-        _check_lengths(game, opponent, None)
-        payoffs = opponent.probs @ game.payoff2
+    row, col = _by_player(player, (None, opponent), (opponent, None))
+    _check_lengths(game, row, col)
+    payoffs = game.payoff1 @ col.probs if row is None else row.probs @ game.payoff2
     idx = int(np.argmax(payoffs))
     return idx, float(payoffs[idx])
 
@@ -238,9 +238,7 @@ def security_level(game: MatrixGame, player: int) -> tuple[MixedStrategy, float]
     Each player maximins their own payoff matrix: payoff1 for the row
     player, transpose(payoff2) for the column player.
     """
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player}")
-    alpha, _, value = _maximin(game.payoff1 if player == 1 else game.payoff2.T)
+    alpha, _, value = _maximin(_by_player(player, game.payoff1, game.payoff2.T))
     return MixedStrategy(alpha), value
 
 
@@ -362,16 +360,13 @@ def _vertex_pairs(m1, m2):
     (alpha, beta, value1, value2).
     """
     n1, n2 = m1.shape
-
-    def positive(m):  # same equilibria, entries in [1, 2]
-        return (m - m.min()) / ((m.max() - m.min()) or 1.0) + 1.0
-
+    # payoffs mapped onto [1, 2] keep the equilibria and bound both polytopes
     # labels 0..n1-1 are the rows, n1..n1+n2-1 the columns, in both polytopes
     # P = {x >= 0, B^T x <= 1}: x_i = 0 carries label i, (B^T x)_j = 1 label n1+j
-    row_g = np.concatenate([-np.eye(n1), positive(m2).T])
+    row_g = np.concatenate([-np.eye(n1), onto_one_two(m2).T])
     row_h = np.concatenate([np.zeros(n1), np.ones(n2)])
     # Q = {A y <= 1, y >= 0}: (A y)_i = 1 carries label i, y_j = 0 label n1+j
-    col_g = np.concatenate([positive(m1), -np.eye(n2)])
+    col_g = np.concatenate([onto_one_two(m1), -np.eye(n2)])
     col_h = np.concatenate([np.ones(n1), np.zeros(n2)])
     everything = frozenset(range(n1 + n2))
     col_vertices = _vertices(col_g, col_h)

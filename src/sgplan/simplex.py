@@ -44,16 +44,18 @@ def maximin(matrix):
         raise SgError(f"payoff matrix must be 2-D and non-empty, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise SgError("payoff matrix contains non-finite entries")
-    low = float(mat.min())
-    span = float(mat.max()) - low or 1.0  # a constant matrix needs no scaling
-    normalized = (mat - low) / span + 1.0
-
-    y, duals = _solve_packing(normalized)
+    y, duals = _solve_packing(onto_one_two(mat))
 
     beta = _clean_distribution(y)
     alpha = _clean_distribution(duals)
     value = float((alpha @ mat).min())
     return alpha, beta, value
+
+
+def onto_one_two(mat):
+    """mat mapped affinely onto [1, 2]; a constant matrix maps to all ones."""
+    low = mat.min()
+    return (mat - low) / ((mat.max() - low) or 1.0) + 1.0
 
 
 def _solve_packing(a):

@@ -41,7 +41,8 @@ import numpy as np
 from .errors import NodeBudgetExceeded
 from .finite_planner import _check_horizon, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
-from .matrix_games import MixedStrategy, SelectionFunction, StrategyProfile, nash_select
+from .matrix_games import (MixedStrategy, SelectionFunction, StrategyProfile, _by_player,
+                           nash_select)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -147,25 +148,28 @@ def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: i
     return children, child_seeds
 
 
+def _check_time_remaining(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"time remaining must be >= 0, got {t}")
+
+
 def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
                 selection: SelectionFunction = nash_select,
                 node_budget: int | None = None) -> SparsePlanResult:
     """Plan one step at (state, t) from m samples per action pair.
 
     Deterministic in (model, state, t, m, seed).  Raises ValueError for a
-    state outside the model's 0..n_states-1, NodeBudgetExceeded before any
-    work when the tree has more than node_budget nodes, and
+    state outside `model.game` when the model has one, NodeBudgetExceeded
+    before any work when the tree has more than node_budget nodes, and
     SelectionFailure if the selection function fails at some node.
     """
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
-    if t < 0:
-        raise ValueError(f"time remaining must be >= 0, got {t}")
-    n_states = getattr(model, "n_states", None)
-    if n_states is not None and not 0 <= state < n_states:
-        raise ValueError(f"state {state} not in 0..{n_states - 1}")
-    spec = SeedSpec.of(seed)
+    _check_time_remaining(t)
     explicit_game = getattr(model, "game", None)
+    if explicit_game is not None:
+        state = explicit_game.state(state)
+    spec = SeedSpec.of(seed)
     root_stage = model.payoffs(state)
     scale = (explicit_game.r_max if explicit_game is not None
              else max(np.abs(root_stage.payoff1).max(), np.abs(root_stage.payoff2).max()))
@@ -257,8 +261,8 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
     """Exact-expectation oracle for `sparse_game` on an explicit game; it
     backs up only the (state, t) nodes reachable from the root, and
     nodes_expanded counts them."""
-    if t < 0:
-        raise ValueError(f"time remaining must be >= 0, got {t}")
+    _check_time_remaining(t)
+    state = game.state(state)
     reach = np.zeros((t + 1, game.n_states), dtype=bool)
     reach[t, state] = True
     for tt in range(t, 0, -1):
@@ -301,8 +305,7 @@ class InducedPolicyPair:
     def __init__(self, model: GenerativeModel, m: int, horizon: int, root_seed,
                  selection: SelectionFunction = nash_select,
                  node_budget: int | None = None):
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _check_horizon(horizon)
         self.model = model
         self.m = m
         self.horizon = horizon
@@ -319,8 +322,8 @@ class InducedPolicyPair:
         return self._plans[state, t]
 
     def strategy(self, player: int, state: int, t: int) -> MixedStrategy:
-        prof = self.plan(state, t).profile
-        return prof.row if player == 1 else prof.col
+        half = _by_player(player, "row", "col")
+        return getattr(self.plan(state, t).profile, half)
 
     def materialize(self, states: Iterable[int]) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
         """Plan every (state, t) and freeze both halves as explicit policies."""
@@ -373,8 +376,7 @@ def gap_experiment(game: StochasticGame, horizon: int,
     instead of the shared run -- an exploration mode, no guarantee claimed.
     """
     _check_horizon(horizon)
-    if start is None:
-        start = game.start_state
+    start = game.state(start)
     model = as_generative(game)
     exact_root = exact_sparse_game(game, start, horizon - 1, selection)
     states = range(game.n_states)

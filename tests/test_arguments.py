@@ -1,0 +1,171 @@
+"""State and player arguments: None names the start state, and a state or
+player outside the game is a ValueError at every entry point, never an index
+that numpy wraps around or clips."""
+
+import numpy as np
+import pytest
+
+from sgplan import (MatrixGame, MixedStrategy, StochasticGame, as_generative, best_response,
+                    best_response_dp, exact_sparse_game, finite_vi, gap_experiment,
+                    induced_policy, infinite_vi, nash_certificate, policy_value,
+                    save_game, save_policy_pair, security_certificate, security_level)
+from sgplan.cli import main
+
+BAD_STATES = [-1, 3]  # the fixture game has states 0..2
+BAD_PLAYERS = [0, 3]
+
+
+@pytest.fixture
+def solved(three_state_game):
+    return finite_vi(three_state_game, 2)
+
+
+@pytest.fixture
+def discounted(three_state_game):
+    return infinite_vi(three_state_game, 0.5)
+
+
+class TestStateResolution:
+    def test_none_names_the_start_state(self, three_state_game):
+        game = three_state_game
+        moved = StochasticGame(game.payoffs1, game.payoffs2, game.transitions, start_state=2)
+        assert game.state() == game.state(None) == 0
+        assert moved.state(None) == 2
+        assert [moved.state(s) for s in range(3)] == [0, 1, 2]
+
+    def test_default_start_matches_explicit_start(self, three_state_game):
+        game = three_state_game
+        moved = StochasticGame(game.payoffs1, game.payoffs2, game.transitions, start_state=2)
+        result = finite_vi(moved, 3)
+        pol1, pol2 = result.policy1, result.policy2
+        assert policy_value(moved, pol1, pol2, 3) == policy_value(moved, pol1, pol2, 3, 2)
+        assert (nash_certificate(moved, pol1, pol2, 3)
+                == nash_certificate(moved, pol1, pol2, 3, 2))
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_state_method_rejects(self, three_state_game, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            three_state_game.state(state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_policy_value_rejects(self, three_state_game, solved, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            policy_value(three_state_game, solved.policy1, solved.policy2, 2, start=state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_best_response_dp_rejects(self, three_state_game, solved, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            best_response_dp(three_state_game, solved.policy2, 2, 1, start=state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_nash_certificate_rejects(self, three_state_game, solved, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            nash_certificate(three_state_game, solved.policy1, solved.policy2, 2, state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_security_certificate_rejects(self, three_state_game, discounted, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            security_certificate(three_state_game, discounted.policy1, discounted.policy2,
+                                 0.5, discounted.values1, discounted.values2, start=state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_exact_sparse_game_rejects(self, three_state_game, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            exact_sparse_game(three_state_game, state, 1)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_gap_experiment_rejects(self, three_state_game, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            gap_experiment(three_state_game, 2, [1], [0], start=state)
+
+    @pytest.mark.parametrize("state", BAD_STATES)
+    def test_stage_game_rejects(self, three_state_game, state):
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            three_state_game.stage_game(state)
+
+
+class TestClaimedValues:
+    @pytest.mark.parametrize("claim", [0.5, [0.5], [0.5, 0.5], np.zeros((3, 1))])
+    def test_anything_but_one_value_per_state_rejected(self, three_state_game, discounted,
+                                                       claim):
+        with pytest.raises(ValueError, match=r"one value per state, shape \(3,\)"):
+            security_certificate(three_state_game, discounted.policy1, discounted.policy2,
+                                 0.5, claim, discounted.values2)
+        with pytest.raises(ValueError, match="claimed2"):
+            security_certificate(three_state_game, discounted.policy1, discounted.policy2,
+                                 0.5, discounted.values1, claim)
+
+    def test_claim_read_at_the_start_state(self, three_state_game, discounted):
+        base = security_certificate(three_state_game, discounted.policy1, discounted.policy2,
+                                    0.5, discounted.values1, discounted.values2, start=1)
+        bumped = discounted.values1.copy()
+        bumped[[0, 2]] += 1.0  # only the start state's claim enters
+        assert security_certificate(three_state_game, discounted.policy1, discounted.policy2,
+                                    0.5, bumped, discounted.values2, start=1) == base
+
+
+class TestPlayerResolution:
+    @pytest.fixture
+    def pd(self):
+        return MatrixGame([[3, 0], [5, 1]], [[3, 5], [0, 1]])
+
+    @pytest.mark.parametrize("player", BAD_PLAYERS)
+    def test_best_response_rejects(self, pd, player):
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            best_response(pd, player, MixedStrategy.uniform(2))
+
+    @pytest.mark.parametrize("player", BAD_PLAYERS)
+    def test_payoff_and_security_level_reject(self, pd, player):
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            pd.payoff(player)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            security_level(pd, player)
+
+    @pytest.mark.parametrize("player", BAD_PLAYERS)
+    def test_best_response_dp_rejects(self, three_state_game, solved, player):
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            best_response_dp(three_state_game, solved.policy2, 2, player)
+
+    @pytest.mark.parametrize("player", BAD_PLAYERS)
+    def test_backup_table_rejects(self, solved, player):
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            solved.table.q(player, 0, 0)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            solved.table.value(player, 0, 0)
+
+    @pytest.mark.parametrize("player", BAD_PLAYERS)
+    def test_induced_strategy_rejects_before_planning(self, three_state_game, player):
+        pair = induced_policy(as_generative(three_state_game), 1, 2, 0)
+        with pytest.raises(ValueError, match=f"player must be 1 or 2, got {player}"):
+            pair.strategy(player, 0, 1)
+        assert pair.nodes_expanded == 0
+
+    def test_valid_players_unchanged(self, pd, solved):
+        alpha = MixedStrategy([0.25, 0.75])
+        assert best_response(pd, 1, alpha) == (1, float(np.max(pd.payoff1 @ alpha.probs)))
+        assert best_response(pd, 2, alpha) == (1, float(np.max(alpha.probs @ pd.payoff2)))
+        assert solved.table.value(1, 2, 1) == float(solved.table.values1[2, 1])
+        assert solved.table.value(2, 2, 1) == float(solved.table.values2[2, 1])
+        assert np.array_equal(solved.table.q(2, 1, 0), solved.table.q2[1, 0])
+
+
+class TestCliStates:
+    @pytest.fixture
+    def files(self, tmp_path, monkeypatch, three_state_game):
+        monkeypatch.chdir(tmp_path)
+        save_game(three_state_game, "g.json")
+        result = finite_vi(three_state_game, 2)
+        save_policy_pair(result.policy1, result.policy2, "p.json")
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--game", "g.json", "--horizon", "2", "--policy", "p.json", "--start", "-1"],
+        ["certify", "--game", "g.json", "--horizon", "2", "--policy", "p.json", "--start", "5"],
+        ["gap-experiment", "--game", "g.json", "--horizon", "2", "--m-list", "1",
+         "--seeds", "1", "--out", "gaps.csv", "--start", "7"],
+    ])
+    def test_unknown_state_exits_one(self, files, capsys, argv):
+        state = argv[argv.index("--start") + 1]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: state {state} not in 0..2\n"

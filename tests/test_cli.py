@@ -35,6 +35,15 @@ class TestGameFiles:
         assert loaded.start_state == game.start_state
         assert loaded.r_max == game.r_max
 
+    @pytest.mark.parametrize("zero_sum", [True, False])
+    def test_zero_sum_flag_survives_round_trip(self, tmp_path, zero_sum):
+        game = random_game(3, 2, 3, 2, 1.0, seed=4, zero_sum=zero_sum)
+        save_game(game, tmp_path / "g.json")
+        assert "is_zero_sum" not in json.loads((tmp_path / "g.json").read_text())
+        loaded = load_game(tmp_path / "g.json")
+        assert loaded.is_zero_sum is zero_sum
+        assert loaded.stage_game(1).is_zero_sum is zero_sum
+
     def test_zero_probability_entries_omitted(self, tmp_path, prisoners_dilemma):
         path = tmp_path / "g.json"
         save_game(single_state_game(prisoners_dilemma), path)
@@ -422,6 +431,16 @@ class TestRunSuite:
         r = run_cli(["run-suite", "suite.json"], tmp_path)
         assert r.returncode == 1
         assert "doomed" in r.stderr
+
+    def test_usage_error_names_experiment(self, tmp_path):
+        config = {"experiments": [
+            {"name": "misspelt", "argv": ["solve-finite", "--bogus"]},
+        ]}
+        (tmp_path / "suite.json").write_text(json.dumps(config))
+        r = run_cli(["run-suite", "suite.json"], tmp_path)
+        assert r.returncode == 1
+        assert "experiment 'misspelt' failed with exit code 1" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestDeterminism:
