@@ -1,6 +1,6 @@
 """Discounted value iteration with a security selection function.
 
-The sweep is `finite_planner.backup_sweep` with a discount factor gamma < 1:
+The sweeps are `finite_planner.backup_sweeps` with a discount factor gamma < 1:
 
     Q_k[s] <- M_k[s] + gamma * sum_s' P(s'|s, i, j) * v_k[s']
 
@@ -13,7 +13,7 @@ no such guarantee; `nash_mode_probe` runs that variant and reports whether
 the value tables settle, cycle, or neither.
 
 Values here are discounted payoff sums (not per-stage averages); a sweep is
-a `DiscountedIterate` of the state-indexed arrays `backup_sweep` returns.
+a `DiscountedIterate` of the state-indexed arrays `backup_sweeps` yields.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SgError
-from .finite_planner import backup_sweep
+from .finite_planner import backup_sweeps
 from .game_model import StationaryPolicy, StochasticGame
 from .matrix_games import SelectionFunction, security_select, nash_select
 
@@ -71,8 +71,7 @@ def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
     the stage games and has delta nan; sweep t backs up sweep t-1's values."""
     _check_settings(gamma, tol, max_iter)
     v1 = v2 = None
-    for t in range(max_iter + 1):
-        level = backup_sweep(game, gamma, v1, v2, selection, t)
+    for t, level in zip(range(max_iter + 1), backup_sweeps(game, gamma, selection)):
         delta = (float("nan") if t == 0 else
                  float(max(np.abs(level[4] - v1).max(), np.abs(level[5] - v2).max())))
         v1, v2 = level[4:]

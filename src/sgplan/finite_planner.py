@@ -17,8 +17,9 @@ values are undiscounted payoff sums; everything reported externally
 (policy values, certificate gaps) is a per-stage average, i.e. sum / H.
 
 `select_level` is the one place a selection function meets backup games and
-its profiles become arrays: `backup_sweep` here, and the sampler and exact
+its profiles become arrays: `backup_sweeps` here, and the sampler and exact
 oracle of `sparse_planner`, hand it one level of backup pairs at a time.
+`finite_vi` runs the first H sweeps, at gamma = 1, of the discounted backup.
 
 Policies are (n_states, horizon, n_actions) strategy arrays with all-NaN
 rows where no strategy is stored; the certificate DPs sweep all states at
@@ -28,6 +29,7 @@ once and raise `MissingPolicyEntry` on such a row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -48,12 +50,18 @@ class BackupTable:
     values1: np.ndarray  # (n_states, horizon)
     values2: np.ndarray
 
+    def _at(self, state: int, t: int) -> tuple[int, int]:
+        if not 0 <= state < len(self.rows):
+            raise ValueError(f"state {state} not in 0..{len(self.rows) - 1}")
+        _check_time(t, self.horizon)
+        return state, t
+
     def q(self, player: int, state: int, t: int) -> np.ndarray:
-        return _by_player(player, self.q1, self.q2)[state, t]
+        return _by_player(player, self.q1, self.q2)[self._at(state, t)]
 
     def profile(self, state: int, t: int) -> StrategyProfile:
-        return StrategyProfile.of(self.rows[state, t], self.cols[state, t],
-                                  self.values1[state, t], self.values2[state, t])
+        at = self._at(state, t)
+        return StrategyProfile.of(self.rows[at], self.cols[at], self.values1[at], self.values2[at])
 
     @property
     def profiles(self) -> tuple[tuple[StrategyProfile, ...], ...]:  # [state][t]
@@ -61,7 +69,7 @@ class BackupTable:
                      for s in range(len(self.rows)))
 
     def value(self, player: int, state: int, t: int) -> float:
-        return float(_by_player(player, self.values1, self.values2)[state, t])
+        return float(_by_player(player, self.values1, self.values2)[self._at(state, t)])
 
 
 @dataclass(frozen=True)
@@ -85,21 +93,17 @@ def select_level(selection: SelectionFunction, q1, q2, states, t: int):
             np.array([p.value1 for p in profiles]), np.array([p.value2 for p in profiles]))
 
 
-def backup_sweep(game: StochasticGame, gamma: float, v1, v2,
-                 selection: SelectionFunction, t: int):
-    """Back up every state once and select an equilibrium of each backup pair.
-
-    Q_k = M_k + gamma * (P @ v_k) over all states at once, or the stage
-    games themselves when v1 is None.  Returns (q1, q2, rows, cols,
-    values1, values2) in state order.
-    """
-    if v1 is None:
-        q1, q2 = game.payoffs1, game.payoffs2
-    else:
+def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction):
+    """Yield sweeps t = 0, 1, ... as (q1, q2, rows, cols, values1, values2) in
+    state order, each only when asked for: sweep 0 selects in the stage games,
+    sweep t in Q_k = M_k + gamma * (P @ v_k) of sweep t-1's values v_k."""
+    q1, q2 = game.payoffs1, game.payoffs2
+    for t in count():
+        rows, cols, v1, v2 = select_level(selection, q1, q2, range(game.n_states), t)
+        yield q1, q2, rows, cols, v1, v2
         # gamma * (P @ v), not P @ (gamma * v): the output bits depend on it
         q1 = game.payoffs1 + gamma * (game.transitions @ v1)
         q2 = game.payoffs2 + gamma * (game.transitions @ v2)
-    return (q1, q2) + select_level(selection, q1, q2, range(game.n_states), t)
 
 
 def _check_horizon(horizon: int) -> None:
@@ -107,18 +111,25 @@ def _check_horizon(horizon: int) -> None:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
 
-def finite_vi(game: StochasticGame, horizon: int,
-              selection: SelectionFunction = nash_select) -> FiniteVIResult:
-    """Nash value iteration over backup matrices for an H-stage game."""
-    _check_horizon(horizon)
-    levels = []  # [t] -> backup_sweep's arrays over states
-    v1 = v2 = None
-    for t in range(horizon):
-        levels.append(backup_sweep(game, 1.0, v1, v2, selection, t))
-        v1, v2 = levels[-1][4:]
+def _check_time(t: int, horizon: int) -> None:
+    if not 0 <= t < horizon:
+        raise ValueError(f"time remaining {t} not in 0..{horizon - 1}")
+
+
+def _tabulate(game: StochasticGame, horizon: int, levels) -> FiniteVIResult:
+    """Stack one (q1, q2, rows, cols, values1, values2) level per t < horizon,
+    t = 0 first, into a BackupTable and its two policy halves."""
     table = BackupTable(horizon, *(np.stack(arrays, axis=1) for arrays in zip(*levels)))
     return FiniteVIResult(TimeDependentPolicy(horizon, game.n_row_actions, table.rows),
                           TimeDependentPolicy(horizon, game.n_col_actions, table.cols), table)
+
+
+def finite_vi(game: StochasticGame, horizon: int,
+              selection: SelectionFunction = nash_select) -> FiniteVIResult:
+    """Nash value iteration over backup matrices for an H-stage game: the
+    first H sweeps of the backup at gamma = 1."""
+    _check_horizon(horizon)
+    return _tabulate(game, horizon, islice(backup_sweeps(game, 1.0, selection), horizon))
 
 
 def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,

@@ -166,7 +166,7 @@ class ExplicitGenerativeModel(GenerativeModel):
     """Generative wrapper over an explicit StochasticGame.
 
     Inverse-CDF sampling over the stored distributions; exact-distribution
-    access is enabled for oracle modes.
+    access is enabled for oracle modes.  States resolve through `game.state`.
     """
 
     def __init__(self, game: StochasticGame):
@@ -179,18 +179,17 @@ class ExplicitGenerativeModel(GenerativeModel):
         self._stage_cache = [game.stage_game(s) for s in range(game.n_states)]
 
     def payoffs(self, state: int) -> MatrixGame:
-        return self._stage_cache[state]
+        return self._stage_cache[self.game.state(state)]
 
     def sample_from_uniform(self, state, i, j, u):
-        idx = int(np.searchsorted(self._cum[state, i, j], u, side="right"))
-        return min(idx, self.game.n_states - 1)
+        return int(self.sample_from_uniform_many(state, i, j, [u])[0])
 
     def sample_from_uniform_many(self, state, i, j, us):
-        idx = np.searchsorted(self._cum[state, i, j], us, side="right")
+        idx = np.searchsorted(self._cum[self.game.state(state), i, j], us, side="right")
         return np.minimum(idx, self.game.n_states - 1).astype(np.int64)
 
     def distribution(self, state, i, j):
-        return self.game.transitions[state, i, j]
+        return self.game.transitions[self.game.state(state), i, j]
 
 
 def as_generative(game: StochasticGame, check: bool = True) -> ExplicitGenerativeModel:

@@ -45,6 +45,12 @@ def _atomic_open(path, **kwargs):
         raise
 
 
+def _write_json(doc: dict, path) -> None:
+    with _atomic_open(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def read_json_object(path) -> dict:
     """The JSON object in the file at `path`, else GameFileError."""
     try:
@@ -72,9 +78,7 @@ def save_game(game: StochasticGame, path) -> None:
         "payoffs2": game.payoffs2.tolist(),
         "transitions": transitions,
     }
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def _require(doc: dict, key: str, path, kind: str = "game"):
@@ -104,12 +108,10 @@ def load_game(path) -> StochasticGame:
         payoffs2 = np.array(_require(doc, "payoffs2", path), dtype=float)
     except (TypeError, ValueError) as exc:
         raise GameFileError(f"{path}: payoff arrays are malformed: {exc}") from exc
-    if payoffs1.shape != (n_states, n1, n2):
-        raise GameFileError(f"{path}: payoffs1 has shape {payoffs1.shape}, "
-                            f"expected {(n_states, n1, n2)}")
-    if payoffs2.shape != (n_states, n1, n2):
-        raise GameFileError(f"{path}: payoffs2 has shape {payoffs2.shape}, "
-                            f"expected {(n_states, n1, n2)}")
+    for name, payoffs in (("payoffs1", payoffs1), ("payoffs2", payoffs2)):
+        if payoffs.shape != (n_states, n1, n2):
+            raise GameFileError(f"{path}: {name} has shape {payoffs.shape}, "
+                                f"expected {(n_states, n1, n2)}")
 
     raw_transitions = _require(doc, "transitions", path)
     transitions = np.zeros((n_states, n1, n2, n_states))
@@ -159,9 +161,7 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
     entries = [{"state": s, "t": t, "row_probs": rows[s, t].tolist(),
                 "col_probs": cols[s, t].tolist()} for s, t in np.ndindex(*shape)]
     doc = {"horizon": shape[1], "entries": entries}
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:

@@ -413,10 +413,10 @@ def enumerate_nash(game: MatrixGame, cap: int = ENUMERATION_CAP) -> list[Strateg
     return [StrategyProfile.of(*eq) for eq in _equilibria(game.payoff1, game.payoff2, cap)]
 
 
-def nash_select(game: MatrixGame, cap: int = ENUMERATION_CAP) -> StrategyProfile:
+def nash_select(game: MatrixGame) -> StrategyProfile:
     """First equilibrium in the canonical support order, else the first
     vertex pair of the degenerate fallback.
 
     Deterministic: entrywise-identical inputs give bit-identical output.
     """
-    return StrategyProfile.of(*next(_equilibria(game.payoff1, game.payoff2, cap)))
+    return StrategyProfile.of(*next(_equilibria(game.payoff1, game.payoff2, ENUMERATION_CAP)))

@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import _check_horizon, nash_certificate, select_level
+from .finite_planner import _check_horizon, _check_time, _tabulate, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import (MixedStrategy, SelectionFunction, StrategyProfile, _by_player,
                            nash_select)
@@ -277,8 +277,8 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
 def _exact_policies(game: StochasticGame, horizon: int, selection: SelectionFunction):
     """The oracle's strategies at every (state, t < horizon) as a policy pair."""
     levels = _exact_levels(game, np.ones((horizon, game.n_states), dtype=bool), selection)
-    return tuple(TimeDependentPolicy(horizon, n_actions, np.stack([lv[k] for lv in levels], axis=1))
-                 for k, n_actions in ((2, game.n_row_actions), (3, game.n_col_actions)))
+    result = _tabulate(game, horizon, levels)
+    return result.policy1, result.policy2
 
 
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
@@ -315,6 +315,7 @@ class InducedPolicyPair:
         self._plans: dict[tuple[int, int], SparsePlanResult] = {}
 
     def plan(self, state: int, t: int) -> SparsePlanResult:
+        _check_time(t, self.horizon)
         if (state, t) not in self._plans:
             self._plans[state, t] = sparse_game(self.model, state, t, self.m,
                                                 self.seed.derive(state, t),

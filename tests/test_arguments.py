@@ -1,6 +1,6 @@
-"""State and player arguments: None names the start state, and a state or
-player outside the game is a ValueError at every entry point, never an index
-that numpy wraps around or clips."""
+"""State, player and time-remaining arguments: None names the start state,
+and a state, player or time outside the game is a ValueError at every entry
+point, never an index that numpy wraps around or clips."""
 
 import numpy as np
 import pytest
@@ -169,3 +169,47 @@ class TestCliStates:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: state {state} not in 0..2\n"
+
+
+MODEL_CALLS = {
+    "payoffs": lambda model, s: model.payoffs(s),
+    "sample_from_uniform": lambda model, s: model.sample_from_uniform(s, 0, 0, 0.5),
+    "sample_from_uniform_many":
+        lambda model, s: model.sample_from_uniform_many(s, 0, 0, np.array([0.25, 0.5])),
+    "distribution": lambda model, s: model.distribution(s, 0, 0),
+}
+
+
+class TestModelStates:
+    @pytest.mark.parametrize("state", BAD_STATES)
+    @pytest.mark.parametrize("method", sorted(MODEL_CALLS))
+    def test_model_rejects(self, three_state_game, method, state):
+        model = as_generative(three_state_game)
+        with pytest.raises(ValueError, match=rf"state {state} not in 0\.\.2"):
+            MODEL_CALLS[method](model, state)
+
+
+# (state, t) outside a horizon-2 table of the three-state fixture
+BAD_ENTRIES = [pytest.param(-1, 0, r"state -1 not in 0\.\.2", id="state=-1"),
+               pytest.param(3, 0, r"state 3 not in 0\.\.2", id="state=3"),
+               pytest.param(0, -1, r"time remaining -1 not in 0\.\.1", id="t=-1"),
+               pytest.param(0, 2, r"time remaining 2 not in 0\.\.1", id="t=2")]
+
+
+class TestTimeResolution:
+    @pytest.mark.parametrize("state, t, message", BAD_ENTRIES)
+    @pytest.mark.parametrize("lookup", ["q", "value", "profile"])
+    def test_backup_table_rejects(self, solved, lookup, state, t, message):
+        table = solved.table
+        call = {"q": lambda: table.q(1, state, t), "value": lambda: table.value(2, state, t),
+                "profile": lambda: table.profile(state, t)}[lookup]
+        with pytest.raises(ValueError, match=message):
+            call()
+
+    @pytest.mark.parametrize("t", [-1, 2, 5])
+    def test_induced_plan_rejects_before_planning(self, three_state_game, t):
+        pair = induced_policy(as_generative(three_state_game), 2, 2, 0)
+        with pytest.raises(ValueError, match=rf"time remaining {t} not in 0\.\.1"):
+            pair.plan(0, t)
+        assert pair.nodes_expanded == 0
+
