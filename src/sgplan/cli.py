@@ -46,7 +46,10 @@ def _parse_int_list(text: str, allow_exact: bool = False):
 def _parse_seeds(text: str):
     if "," in text:
         return [int(tok) for tok in text.split(",")]
-    return list(range(int(text)))
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"seed count must be >= 1, got {count}")
+    return list(range(count))
 
 
 def _cmd_generate(args) -> int:

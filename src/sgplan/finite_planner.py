@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import SgError, SelectionFailure
 from .game_model import StochasticGame, TimeDependentPolicy
-from .matrix_games import MatrixGame, SelectionFunction, StrategyProfile, _by_player, nash_select
+from .matrix_games import (MatrixGame, SelectionFunction, StrategyProfile, _by_player,
+                           _check_index, nash_select)
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,8 @@ class BackupTable:
     values2: np.ndarray
 
     def _at(self, state: int, t: int) -> tuple[int, int]:
-        if not 0 <= state < len(self.rows):
-            raise ValueError(f"state {state} not in 0..{len(self.rows) - 1}")
-        _check_time(t, self.horizon)
-        return state, t
+        return (_check_index("state", state, len(self.rows)),
+                _check_index("time remaining", t, self.horizon))
 
     def q(self, player: int, state: int, t: int) -> np.ndarray:
         return _by_player(player, self.q1, self.q2)[self._at(state, t)]
@@ -109,11 +108,6 @@ def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFuncti
 def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-
-def _check_time(t: int, horizon: int) -> None:
-    if not 0 <= t < horizon:
-        raise ValueError(f"time remaining {t} not in 0..{horizon - 1}")
 
 
 def _tabulate(game: StochasticGame, horizon: int, levels) -> FiniteVIResult:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MissingPolicyEntry, SgError
-from .matrix_games import MatrixGame
+from .matrix_games import MatrixGame, _check_index
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,7 @@ class StochasticGame:
         if tr.shape != p1.shape + (p1.shape[0],):
             raise DimensionMismatch(
                 f"transitions must have shape {p1.shape + (p1.shape[0],)}, got {tr.shape}")
-        if not 0 <= self.start_state < p1.shape[0]:
-            raise ValueError(f"start_state {self.start_state} not in 0..{p1.shape[0] - 1}")
+        _check_index("start_state", self.start_state, p1.shape[0])
         r_max = self.r_max
         if r_max is None:
             r_max = float(max(np.abs(p1).max(), np.abs(p2).max()))
@@ -69,9 +68,7 @@ class StochasticGame:
 
     def state(self, s: int | None = None) -> int:
         """The state a `start`/`state` argument names: `start_state` for None."""
-        if s is not None and not 0 <= s < self.n_states:
-            raise ValueError(f"state {s} not in 0..{self.n_states - 1}")
-        return self.start_state if s is None else s
+        return self.start_state if s is None else _check_index("state", s, self.n_states)
 
     def stage_game(self, state: int) -> MatrixGame:
         state = self.state(state)
@@ -165,8 +162,8 @@ class GenerativeModel(abc.ABC):
 class ExplicitGenerativeModel(GenerativeModel):
     """Generative wrapper over an explicit StochasticGame.
 
-    Inverse-CDF sampling over the stored distributions; exact-distribution
-    access is enabled for oracle modes.  States resolve through `game.state`.
+    Inverse-CDF sampling over the stored distributions.  States resolve
+    through `game.state`; an action outside the game is a ValueError.
     """
 
     def __init__(self, game: StochasticGame):
@@ -181,15 +178,19 @@ class ExplicitGenerativeModel(GenerativeModel):
     def payoffs(self, state: int) -> MatrixGame:
         return self._stage_cache[self.game.state(state)]
 
+    def _at(self, state, i, j) -> tuple[int, int, int]:
+        return (self.game.state(state), _check_index("row action", i, self.n_row_actions),
+                _check_index("col action", j, self.n_col_actions))
+
     def sample_from_uniform(self, state, i, j, u):
         return int(self.sample_from_uniform_many(state, i, j, [u])[0])
 
     def sample_from_uniform_many(self, state, i, j, us):
-        idx = np.searchsorted(self._cum[self.game.state(state), i, j], us, side="right")
+        idx = np.searchsorted(self._cum[self._at(state, i, j)], us, side="right")
         return np.minimum(idx, self.game.n_states - 1).astype(np.int64)
 
     def distribution(self, state, i, j):
-        return self.game.transitions[self.game.state(state), i, j]
+        return self.game.transitions[self._at(state, i, j)]
 
 
 def as_generative(game: StochasticGame, check: bool = True) -> ExplicitGenerativeModel:

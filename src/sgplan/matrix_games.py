@@ -58,6 +58,13 @@ def _by_player(player: int, first, second):
     return first if player == 1 else second
 
 
+def _check_index(what: str, value: int, n: int) -> int:
+    """value if it indexes one of n items (0..n-1, no wrap-around)."""
+    if not 0 <= value < n:
+        raise ValueError(f"{what} {value} not in 0..{n - 1}")
+    return value
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """Probability distribution over one player's pure strategies."""
@@ -83,7 +90,7 @@ class MixedStrategy:
     @classmethod
     def pure(cls, n: int, index: int) -> "MixedStrategy":
         probs = np.zeros(n)
-        probs[index] = 1.0
+        probs[_check_index("action", index, n)] = 1.0
         return cls(probs)
 
     @classmethod
@@ -201,23 +208,21 @@ def _scale(*mats) -> float:
     return max(1.0, *(np.abs(m).max() for m in mats))
 
 
-def _maximin(matrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """The simplex `maximin`, certified by its duality gap.
+def _maximin(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The simplex `maximin` of a MatrixGame's payoff matrix, certified by
+    its duality gap.
 
     A near-singular basis can leave the simplex short of the optimum (or
     with no strategy at all); the first zero-sum equilibrium from
     enumeration, whose row strategy is a maximin strategy, then takes its
     place.
     """
-    mat = np.asarray(matrix, dtype=float)
     try:
         alpha, beta, value = maximin(mat)
-    except SgError:
-        if mat.ndim != 2 or mat.size == 0 or not np.all(np.isfinite(mat)):
-            raise  # malformed input, not a numerical failure
-    else:
         if (mat @ beta).max() - value <= _DUALITY_TOL * _scale(mat):
             return alpha, beta, value
+    except SgError:  # numerical: unbounded, non-terminating or empty strategy
+        pass
     alpha, beta, _, _ = next(_equilibria(mat, -mat, ENUMERATION_CAP))
     return alpha, beta, float((alpha @ mat).min())
 
@@ -227,8 +232,9 @@ def solve_zero_sum(matrix) -> StrategyProfile:
 
     value1 is the game value (the payoff the row strategy guarantees),
     value2 its negation; the returned pair is a Nash pair of the game.
+    The matrix is checked as `MatrixGame.zero_sum` checks it.
     """
-    alpha, beta, value = _maximin(matrix)
+    alpha, beta, value = _maximin(MatrixGame.zero_sum(matrix).payoff1)
     return StrategyProfile.of(alpha, beta, value, -value)
 
 

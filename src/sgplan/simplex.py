@@ -38,12 +38,12 @@ def maximin(matrix):
     Returns (alpha, beta, value): alpha is the row player's security
     strategy, beta the column player's minimax response, and value the
     payoff alpha guarantees (min over columns of alpha @ matrix).
+
+    Precondition: matrix is 2-D, non-empty and finite, as every payoff
+    matrix of a `MatrixGame` is; it is not checked here.  A numerical
+    failure (unbounded LP, no termination, empty strategy) raises SgError.
     """
     mat = np.asarray(matrix, dtype=float)
-    if mat.ndim != 2 or mat.size == 0:
-        raise SgError(f"payoff matrix must be 2-D and non-empty, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise SgError("payoff matrix contains non-finite entries")
     y, duals = _solve_packing(onto_one_two(mat))
 
     beta = _clean_distribution(y)

@@ -39,10 +39,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import _check_horizon, _check_time, _tabulate, nash_certificate, select_level
+from .finite_planner import _check_horizon, _tabulate, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import (MixedStrategy, SelectionFunction, StrategyProfile, _by_player,
-                           nash_select)
+                           _check_index, nash_select)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -315,7 +315,7 @@ class InducedPolicyPair:
         self._plans: dict[tuple[int, int], SparsePlanResult] = {}
 
     def plan(self, state: int, t: int) -> SparsePlanResult:
-        _check_time(t, self.horizon)
+        _check_index("time remaining", t, self.horizon)
         if (state, t) not in self._plans:
             self._plans[state, t] = sparse_game(self.model, state, t, self.m,
                                                 self.seed.derive(state, t),

@@ -1,6 +1,6 @@
-"""State, player and time-remaining arguments: None names the start state,
-and a state, player or time outside the game is a ValueError at every entry
-point, never an index that numpy wraps around or clips."""
+"""State, player, time-remaining and action arguments: None names the start
+state, and a state, player, time or action outside the game is a ValueError
+at every entry point, never an index that numpy wraps around or clips."""
 
 import numpy as np
 import pytest
@@ -213,3 +213,29 @@ class TestTimeResolution:
             pair.plan(0, t)
         assert pair.nodes_expanded == 0
 
+
+# (i, j) calls on state 0 of the three-state fixture, which has actions 0..1
+ACTION_CALLS = {
+    "sample": lambda model, i, j: model.sample(0, i, j, np.random.default_rng(0)),
+    "sample_from_uniform": lambda model, i, j: model.sample_from_uniform(0, i, j, 0.5),
+    "sample_from_uniform_many":
+        lambda model, i, j: model.sample_from_uniform_many(0, i, j, np.array([0.25, 0.5])),
+    "distribution": lambda model, i, j: model.distribution(0, i, j),
+}
+BAD_ACTIONS = [-1, 2]
+
+
+class TestActionResolution:
+    @pytest.mark.parametrize("action", BAD_ACTIONS)
+    @pytest.mark.parametrize("player", ["row", "col"])
+    @pytest.mark.parametrize("method", sorted(ACTION_CALLS))
+    def test_model_rejects(self, three_state_game, method, player, action):
+        model = as_generative(three_state_game)
+        i, j = (action, 0) if player == "row" else (0, action)
+        with pytest.raises(ValueError, match=rf"{player} action {action} not in 0\.\.1"):
+            ACTION_CALLS[method](model, i, j)
+
+    @pytest.mark.parametrize("action", BAD_ACTIONS)
+    def test_pure_strategy_rejects(self, action):
+        with pytest.raises(ValueError, match=rf"action {action} not in 0\.\.1"):
+            MixedStrategy.pure(2, action)

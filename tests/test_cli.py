@@ -361,6 +361,15 @@ class TestCommands:
         assert len(lines) == 1 + 3 * 2
         assert lines[-1].startswith("exact,")
 
+    @pytest.mark.parametrize("count", ["-3", "0"])
+    def test_gap_experiment_rejects_seed_count_below_one(self, game_file, tmp_path, count):
+        r = run_cli(["gap-experiment", "--game", "game.json", "--horizon", "2",
+                     "--m-list", "1", "--seeds", count, "--out", "gaps.csv"], tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == f"error: seed count must be >= 1, got {count}\n"
+        assert r.stdout == ""
+        assert not (tmp_path / "gaps.csv").exists()
+
     def test_unknown_command_exits_one(self, tmp_path):
         r = run_cli(["frobnicate"], tmp_path)
         assert r.returncode == 1

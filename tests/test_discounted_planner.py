@@ -225,6 +225,15 @@ class TestNashModeProbe:
         np.testing.assert_allclose(again.values1, first.values1, rtol=0, atol=1e-9)
         np.testing.assert_allclose(again.values2, first.values2, rtol=0, atol=1e-9)
 
+    def test_undetermined_within_max_iter(self, three_state_game):
+        # the fixture cycles only from sweep 58 on
+        report = nash_mode_probe(three_state_game, 0.7, max_iter=10)
+        assert report.classification == "undetermined"
+        assert report.iterations == 10
+        assert len(report.deltas) == 10
+        assert len(report.trajectory) == 11
+        assert report.cycle_start is None and report.cycle_length is None
+
     def test_selection_failure_names_sweep(self, three_state_game):
         selection = failing_after(three_state_game.n_states, nash_select)
         with pytest.raises(SelectionFailure, match=r"state=0, t=1"):

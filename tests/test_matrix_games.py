@@ -152,6 +152,16 @@ class TestSolveZeroSum:
             assert s1 == pytest.approx(prof.value1, abs=1e-12)
             assert s2 == pytest.approx(-prof.value1, abs=1e-12)
 
+    @pytest.mark.parametrize("mat", [[1.0, 2.0], [[]], [[1.0, np.inf]], [[0.0], [np.nan]]],
+                             ids=["1-D", "empty", "inf", "nan"])
+    def test_malformed_input_raises_like_matrix_game(self, mat):
+        raised = []
+        for build in (MatrixGame.zero_sum, solve_zero_sum):
+            with pytest.raises((DimensionMismatch, ValueError)) as info:
+                build(mat)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[1] == raised[0]
+
     def test_deterministic(self):
         mat = np.random.default_rng(3).uniform(-1, 1, (4, 5))
         a = solve_zero_sum(mat)
