@@ -32,15 +32,10 @@ def _fmt_probs(probs) -> str:
     return "[" + ", ".join(repr(float(p)) for p in probs) + "]"
 
 
-def _parse_int_list(text: str, allow_exact: bool = False):
-    items = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if allow_exact and tok == "exact":
-            items.append("exact")
-        else:
-            items.append(int(tok))
-    return items
+def _parse_m_list(text: str):
+    """Sample counts, or the word "exact", separated by commas."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    return [tok if tok == "exact" else int(tok) for tok in tokens]
 
 
 def _parse_seeds(text: str):
@@ -102,7 +97,7 @@ def _cmd_sparse_plan(args) -> int:
 
 def _cmd_gap_experiment(args) -> int:
     game = load_game(args.game)
-    m_list = _parse_int_list(args.m_list, allow_exact=True)
+    m_list = _parse_m_list(args.m_list)
     seeds = _parse_seeds(args.seeds)
     rows = gap_experiment(game, args.horizon, m_list, seeds,
                           start=args.start, independent_seeds=args.independent_seeds,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SgError
 from .finite_planner import backup_sweeps
 from .game_model import StationaryPolicy, StochasticGame
-from .matrix_games import SelectionFunction, security_select, nash_select
+from .matrix_games import SelectionFunction, _by_player, security_select, nash_select
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,15 @@ class ContractionReport:
         return not self.violations
 
 
-def contraction_check(deltas, gamma: float, slack: float = 1e-9) -> ContractionReport:
-    """Verify delta_{t+1} <= gamma * delta_t + slack along a delta trace.
+def contraction_check(deltas, gamma: float) -> ContractionReport:
+    """Verify delta_{t+1} <= gamma * delta_t + 1e-9 along a delta trace.
 
     Meaningful for zero-sum runs, where the backup operator is a
     gamma-contraction of the value table.
     """
     out = []
     for t in range(len(deltas) - 1):
-        bound = gamma * deltas[t] + slack
+        bound = gamma * deltas[t] + 1e-9
         if deltas[t + 1] > bound:
             out.append(ContractionViolation(t + 1, float(deltas[t]),
                                             float(deltas[t + 1]), float(bound)))
@@ -143,7 +143,7 @@ def _worst_case_value(game: StochasticGame, policy: StationaryPolicy, gamma: flo
                       player: int, tol: float) -> np.ndarray:
     """Discounted value of `policy` for `player` against a minimizing
     opponent: value iteration on the induced single-agent problem."""
-    probs = policy.dense(game.n_states)
+    probs = policy.dense(game.n_states, _by_player(player, game.n_row_actions, game.n_col_actions))
     if player == 1:  # opponent picks columns; induced reward/transition per column j
         rewards = (probs[:, None, :] @ game.payoffs1)[:, 0]
         trans = np.einsum("si,sijt->sjt", probs, game.transitions)

@@ -133,7 +133,8 @@ def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
     _check_horizon(horizon)
     start = game.state(start)
     n_states = game.n_states
-    a, b = policy1.dense(n_states, horizon), policy2.dense(n_states, horizon)
+    a = policy1.dense(n_states, horizon, game.n_row_actions)
+    b = policy2.dense(n_states, horizon, game.n_col_actions)
     w1 = w2 = np.zeros(n_states)
     for t in range(horizon):
         joint = (a[:, t, :, None] * b[:, t, None, :]).reshape(n_states, -1)
@@ -160,11 +161,13 @@ def best_response_dp(game: StochasticGame, opponent: TimeDependentPolicy,
     start = game.state(start)
     n_states = game.n_states
     # reply(q, opp_t): each own action's payoff against opp at t, per state
-    n_mine, mine, reply = _by_player(
+    n_mine, n_opp, mine, reply = _by_player(
         player,
-        (game.n_row_actions, game.payoffs1, lambda q, opp_t: (q @ opp_t[:, :, None])[..., 0]),
-        (game.n_col_actions, game.payoffs2, lambda q, opp_t: (opp_t[:, None, :] @ q)[:, 0]))
-    opp = opponent.dense(n_states, horizon)
+        (game.n_row_actions, game.n_col_actions, game.payoffs1,
+         lambda q, opp_t: (q @ opp_t[:, :, None])[..., 0]),
+        (game.n_col_actions, game.n_row_actions, game.payoffs2,
+         lambda q, opp_t: (opp_t[:, None, :] @ q)[:, 0]))
+    opp = opponent.dense(n_states, horizon, n_opp)
     best = np.zeros(n_states)
     actions = np.zeros((n_states, horizon), dtype=np.int64)
     for t in range(horizon):

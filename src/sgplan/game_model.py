@@ -105,20 +105,18 @@ def validate(game: StochasticGame) -> ValidationReport:
     its state/action coordinates."""
     out = []
     tr = game.transitions
-    if np.any(tr < 0.0) or np.any(~np.isfinite(tr)):
-        for s, i, j, s2 in zip(*np.nonzero((tr < 0.0) | ~np.isfinite(tr))):
-            out.append(Violation("transition-entry", (int(s), int(i), int(j), int(s2)),
-                                 f"probability {tr[s, i, j, s2]!r} is negative or non-finite"))
+    for s, i, j, s2 in zip(*np.nonzero((tr < 0.0) | ~np.isfinite(tr))):
+        out.append(Violation("transition-entry", (int(s), int(i), int(j), int(s2)),
+                             f"probability {tr[s, i, j, s2]!r} is negative or non-finite"))
     sums = tr.sum(axis=3)
     bad = np.abs(sums - 1.0) > 1e-12
     for s, i, j in zip(*np.nonzero(bad)):
         out.append(Violation("transition-sum", (int(s), int(i), int(j)),
                              f"probabilities sum to {sums[s, i, j]!r}, not 1"))
     for player, pay in ((1, game.payoffs1), (2, game.payoffs2)):
-        if np.any(~np.isfinite(pay)):
-            for s, i, j in zip(*np.nonzero(~np.isfinite(pay))):
-                out.append(Violation("payoff-finite", (player, int(s), int(i), int(j)),
-                                     f"payoff {pay[s, i, j]!r} is not finite"))
+        for s, i, j in zip(*np.nonzero(~np.isfinite(pay))):
+            out.append(Violation("payoff-finite", (player, int(s), int(i), int(j)),
+                                 f"payoff {pay[s, i, j]!r} is not finite"))
         over = np.abs(pay) > game.r_max
         for s, i, j in zip(*np.nonzero(over)):
             out.append(Violation("payoff-bound", (player, int(s), int(i), int(j)),
@@ -225,11 +223,17 @@ class _DensePolicy:
         raise MissingPolicyEntry(self._missing.format(*key))
 
     def dense(self, *shape) -> np.ndarray:
-        """The strategies of every key below `shape` at once; raises
-        MissingPolicyEntry at the first missing key in sorted order."""
-        block = self.strategies[tuple(slice(n) for n in shape)]
-        if block.shape[:-1] != shape or np.isnan(block).any():
-            for key in np.ndindex(*shape):
+        """The strategies of every key below `shape` at once.  `shape` may end
+        with the game's action count, which raises DimensionMismatch if it is
+        not the policy's; a missing key raises MissingPolicyEntry, the first
+        in sorted order."""
+        *key_dims, n = self.strategies.shape
+        keys, actions = shape[:len(key_dims)], shape[len(key_dims):]
+        if actions not in ((), (n,)):
+            raise DimensionMismatch(f"policy has {n} actions, the game has {actions[0]}")
+        block = self.strategies[tuple(slice(n) for n in keys)]
+        if block.shape[:-1] != keys or np.isnan(block).any():
+            for key in np.ndindex(*keys):
                 self.probs(*key)
         return block
 
@@ -259,7 +263,7 @@ class TimeDependentPolicy(_DensePolicy):
         self._store(strategies)
 
     def entries(self):
-        """Stored (state, t, probs) triples, sorted for stable serialization."""
+        """Stored (state, t, probs) triples in sorted key order, gaps skipped."""
         for s, t in np.argwhere(~np.isnan(self.strategies).all(axis=-1)).tolist():
             yield s, t, self.strategies[s, t]
 
@@ -291,6 +295,8 @@ def random_game(n_states: int, n_row_actions: int, n_col_actions: int,
         raise ValueError("all counts must be >= 1")
     if branching > n_states:
         raise ValueError(f"branching {branching} exceeds n_states {n_states}")
+    if not 0.0 <= payoff_scale < np.inf:  # false for NaN
+        raise ValueError(f"payoff_scale must be finite and >= 0, got {payoff_scale}")
     rng = np.random.default_rng(seed)
     shape = (n_states, n_row_actions, n_col_actions)
     payoffs1 = rng.uniform(-payoff_scale, payoff_scale, shape)

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -87,6 +88,20 @@ def _require(doc: dict, key: str, path, kind: str = "game"):
     return doc[key]
 
 
+def _require_scalar(doc: dict, key: str, path, want: type = int, kind: str = "game"):
+    """`_require` for a header field: a JSON integer (want=int) or a finite
+    JSON number, as a float (want=float).  JSON true and false are neither,
+    though Python's bool is an int."""
+    value = _require(doc, key, path, kind)
+    if not isinstance(value, bool) and isinstance(value, (int, want)):
+        if want is int:
+            return value
+        if abs(value) <= sys.float_info.max:  # false for NaN, infinities and huge ints
+            return float(value)
+    what = "an integer" if want is int else "a finite number"
+    raise GameFileError(f"{kind} file {path}: '{key}' must be {what}, got {json.dumps(value)}")
+
+
 def load_game(path) -> StochasticGame:
     """Parse and validate a game file.
 
@@ -95,14 +110,14 @@ def load_game(path) -> StochasticGame:
     written by `save_game` round-trip entrywise exactly.
     """
     doc = read_json_object(path)
-    version = _require(doc, "version", path)
+    version = _require_scalar(doc, "version", path)
     if version != GAME_FILE_VERSION:
         raise GameFileError(f"{path}: unsupported version {version!r}")
-    n_states = int(_require(doc, "n_states", path))
-    n1 = int(_require(doc, "n_row_actions", path))
-    n2 = int(_require(doc, "n_col_actions", path))
-    start_state = int(_require(doc, "start_state", path))
-    r_max = float(_require(doc, "r_max", path))
+    n_states, n1, n2, start_state = (_require_scalar(doc, key, path) for key in (
+        "n_states", "n_row_actions", "n_col_actions", "start_state"))
+    if not 0 <= start_state < n_states:
+        raise GameFileError(f"{path}: start_state {start_state} not in 0..{n_states - 1}")
+    r_max = _require_scalar(doc, "r_max", path, float)
     try:
         payoffs1 = np.array(_require(doc, "payoffs1", path), dtype=float)
         payoffs2 = np.array(_require(doc, "payoffs2", path), dtype=float)
@@ -168,7 +183,7 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     """Parse a policy file whose table is complete: every (state, t) with
     0 <= state <= the largest state and 0 <= t < horizon, exactly once."""
     doc = read_json_object(path)
-    horizon = int(_require(doc, "horizon", path, "policy"))
+    horizon = _require_scalar(doc, "horizon", path, kind="policy")
     entries = _require(doc, "entries", path, "policy")
     if not entries:
         raise GameFileError(f"{path}: policy file has no entries")

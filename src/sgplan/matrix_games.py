@@ -84,8 +84,8 @@ class MixedStrategy:
     def __len__(self):
         return self.probs.size
 
-    def support(self, tol: float = SUPPORT_TOL) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.nonzero(self.probs > tol)[0])
+    def support(self) -> tuple[int, ...]:
+        return tuple(int(i) for i in np.nonzero(self.probs > SUPPORT_TOL)[0])
 
     @classmethod
     def pure(cls, n: int, index: int) -> "MixedStrategy":
@@ -281,8 +281,8 @@ def _solve_linear(a: np.ndarray, b: np.ndarray):
 
 
 def _indifference(block: np.ndarray):
-    """(opponent support strategy, value) that makes a player indifferent
-    across the rows of `block`, their payoffs on the two supports; or None."""
+    """The opponent support strategy that makes a player indifferent across
+    the rows of `block`, their payoffs on the two supports; or None."""
     k1, k2 = block.shape
     system = np.zeros((k1 + 1, k2 + 1))
     system[:k1, :k2] = block
@@ -291,7 +291,7 @@ def _indifference(block: np.ndarray):
     rhs = np.zeros(k1 + 1)
     rhs[k1] = 1.0
     sol = _solve_linear(system, rhs)
-    return None if sol is None else (sol[:k2], sol[k2])
+    return None if sol is None else sol[:k2]
 
 
 def _profile_on_supports(m1, m2, sup1, sup2, tol: float, tie: float):
@@ -313,11 +313,10 @@ def _profile_on_supports(m1, m2, sup1, sup2, tol: float, tie: float):
 
     r1 = np.asarray(sup1)
     c2 = np.asarray(sup2)
-    sol_b = _indifference(m1[np.ix_(r1, c2)])
-    sol_a = None if sol_b is None else _indifference(m2[np.ix_(r1, c2)].T)
-    if sol_a is None:
+    beta_s = _indifference(m1[np.ix_(r1, c2)])
+    alpha_s = None if beta_s is None else _indifference(m2[np.ix_(r1, c2)].T)
+    if alpha_s is None:
         return None
-    (beta_s, _), (alpha_s, _) = sol_b, sol_a
 
     # the solution must live on exactly the declared supports
     if beta_s.min() <= tol or alpha_s.min() <= tol:

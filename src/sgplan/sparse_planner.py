@@ -239,8 +239,10 @@ def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionF
     """Exact backups of the marked nodes, tt = 0 first, each expectation a
     sequential sum from 0.0 (not `T @ v`, see above).  reach[tt] marks the
     states backed up at time remaining tt and must mark every successor of
-    those marked at tt + 1.  Returns one (q1, q2, rows, cols, values1,
-    values2) per level, each in the order of its marked states."""
+    those marked at tt + 1; marking more states leaves the bits of the others
+    alone, as their extra terms have p(s') = 0.0 and add +-0.0 to a sum from
+    +0.0.  Returns one (q1, q2, rows, cols, values1, values2) per level, each
+    in the order of its marked states."""
     levels = []
     for tt, mask in enumerate(reach):
         states = np.flatnonzero(mask)
@@ -274,21 +276,15 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
                             (float(v1[0]), float(v2[0])), (q1, q2), int(reach.sum()))
 
 
-def _exact_policies(game: StochasticGame, horizon: int, selection: SelectionFunction):
-    """The oracle's strategies at every (state, t < horizon) as a policy pair."""
-    levels = _exact_levels(game, np.ones((horizon, game.n_states), dtype=bool), selection)
-    result = _tabulate(game, horizon, levels)
-    return result.policy1, result.policy2
-
-
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
     """Samples per action pair sufficient for a 2*t*epsilon-Nash guarantee:
     ceil(c * ((t^3/eps^2) ln(t/eps) + t ln(n/eps))) + 1, negative log terms
     clamped to zero.  The constant c is a caller choice (default 1)."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if t < 1 or n < 1 or c <= 0:
-        raise ValueError(f"require t >= 1, n >= 1, c > 0, got t={t}, n={n}, c={c}")
+    for name, value in (("epsilon", epsilon), ("c", c)):
+        if not 0.0 < value < math.inf:  # false for NaN
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if t < 1 or n < 1:
+        raise ValueError(f"require t >= 1, n >= 1, got t={t}, n={n}")
     horizon_term = (t ** 3 / epsilon ** 2) * max(0.0, math.log(t / epsilon))
     action_term = t * max(0.0, math.log(n / epsilon))
     return math.ceil(c * (horizon_term + action_term)) + 1
@@ -371,15 +367,18 @@ def gap_experiment(game: StochasticGame, horizon: int,
 
     Each row materializes the induced policy pair, certifies it against
     the exact best-response DP, and compares the root values to the
-    exact-expectation oracle.  m entries may be the string "exact" to run
-    the oracle itself (its gaps reproduce the finite-horizon planner's).
+    exact-expectation oracle, tabulated once at every (state, t).  m entries
+    may be the string "exact" to certify the oracle's own policy pair (its
+    gaps reproduce the finite-horizon planner's).
     With independent_seeds each player plans from an unrelated seed
     instead of the shared run -- an exploration mode, no guarantee claimed.
     """
     _check_horizon(horizon)
     start = game.state(start)
     model = as_generative(game)
-    exact_root = exact_sparse_game(game, start, horizon - 1, selection)
+    oracle = _tabulate(game, horizon, _exact_levels(
+        game, np.ones((horizon, game.n_states), dtype=bool), selection))
+    exact_root = [oracle.table.value(k, start, horizon - 1) for k in (1, 2)]
     states = range(game.n_states)
     exact_gaps = None
     rows = []
@@ -387,7 +386,7 @@ def gap_experiment(game: StochasticGame, horizon: int,
         for seed in seeds:
             if m == "exact":
                 if exact_gaps is None:  # the oracle ignores the seed: certify it once
-                    exact_gaps = nash_certificate(game, *_exact_policies(game, horizon, selection),
+                    exact_gaps = nash_certificate(game, oracle.policy1, oracle.policy2,
                                                   horizon, start)
                 rows.append(GapRow(m, int(seed), *exact_gaps, 0.0, 0.0,
                                    horizon * game.n_states))
@@ -403,8 +402,8 @@ def gap_experiment(game: StochasticGame, horizon: int,
             else:
                 nodes = pair.nodes_expanded
             root = pair.plan(start, horizon - 1)
-            qerr1 = abs(root.q_hats[0] - exact_root.q_hats[0])
-            qerr2 = abs(root.q_hats[1] - exact_root.q_hats[1])
+            qerr1 = abs(root.q_hats[0] - exact_root[0])
+            qerr2 = abs(root.q_hats[1] - exact_root[1])
             gap1, gap2 = nash_certificate(game, pol1, pol2, horizon, start)
             rows.append(GapRow(m, int(seed), gap1, gap2, qerr1, qerr2, nodes))
     return rows

@@ -1,14 +1,17 @@
 """State, player, time-remaining and action arguments: None names the start
 state, and a state, player, time or action outside the game is a ValueError
-at every entry point, never an index that numpy wraps around or clips."""
+at every entry point, never an index that numpy wraps around or clips.
+Non-finite numeric arguments and policies over another action count than
+the game's are input errors too."""
 
 import numpy as np
 import pytest
 
-from sgplan import (MatrixGame, MixedStrategy, StochasticGame, as_generative, best_response,
-                    best_response_dp, exact_sparse_game, finite_vi, gap_experiment,
-                    induced_policy, infinite_vi, nash_certificate, policy_value,
-                    save_game, save_policy_pair, security_certificate, security_level)
+from sgplan import (DimensionMismatch, MatrixGame, MixedStrategy, StationaryPolicy,
+                    StochasticGame, as_generative, best_response, best_response_dp,
+                    exact_sparse_game, finite_vi, gap_experiment, induced_policy, infinite_vi,
+                    nash_certificate, policy_value, random_game, save_game, save_policy_pair,
+                    security_certificate, security_level)
 from sgplan.cli import main
 
 BAD_STATES = [-1, 3]  # the fixture game has states 0..2
@@ -239,3 +242,55 @@ class TestActionResolution:
     def test_pure_strategy_rejects(self, action):
         with pytest.raises(ValueError, match=rf"action {action} not in 0\.\.1"):
             MixedStrategy.pure(2, action)
+
+
+class TestNumericArguments:
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--scale", "nan"], "payoff_scale must be finite and >= 0, got nan"),
+        (["generate", "--scale", "inf"], "payoff_scale must be finite and >= 0, got inf"),
+        (["generate", "--scale", "-1"], "payoff_scale must be finite and >= 0, got -1.0"),
+        (["sample-size", "--c", "inf"], "c must be finite and positive, got inf"),
+        (["sample-size", "--c", "nan"], "c must be finite and positive, got nan"),
+        (["sample-size", "--epsilon", "nan"], "epsilon must be finite and positive, got nan"),
+        (["sample-size", "--epsilon", "inf"], "epsilon must be finite and positive, got inf"),
+    ])
+    def test_cli_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        common = {"generate": ["--states", "2", "--rows", "2", "--cols", "2", "--branching",
+                               "1", "--seed", "0", "--out", "g.json"],
+                  "sample-size": ["--t", "4", "--epsilon", "0.1", "--n", "2"]}[argv[0]]
+        assert main(argv[:1] + common + argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert not (tmp_path / "g.json").exists()
+
+
+class TestPolicyActionCounts:
+    """A policy over another action count than the game's is a
+    DimensionMismatch naming both counts, in every certificate DP."""
+
+    @pytest.fixture
+    def wide(self):  # the three-state fixture's shape with a third row action
+        return finite_vi(random_game(3, 3, 2, 2, 1.0, seed=5), 2)
+
+    def test_finite_certificates_reject(self, three_state_game, wide):
+        narrow = finite_vi(three_state_game, 2)
+        for call in (lambda: policy_value(three_state_game, wide.policy1, narrow.policy2, 2),
+                     lambda: nash_certificate(three_state_game, wide.policy1, narrow.policy2, 2),
+                     lambda: best_response_dp(three_state_game, wide.policy1, 2, 2)):
+            with pytest.raises(DimensionMismatch, match="policy has 3 actions, the game has 2"):
+                call()
+
+    def test_security_certificate_rejects(self, three_state_game, discounted):
+        wide = StationaryPolicy(np.full((3, 3), 1.0 / 3))
+        with pytest.raises(DimensionMismatch, match="policy has 3 actions, the game has 2"):
+            security_certificate(three_state_game, wide, discounted.policy2, 0.5,
+                                 discounted.values1, discounted.values2)
+
+    def test_certify_exits_one(self, tmp_path, monkeypatch, capsys, three_state_game, wide):
+        monkeypatch.chdir(tmp_path)
+        save_game(three_state_game, "g.json")
+        save_policy_pair(wide.policy1, wide.policy2, "p.json")
+        assert main(["certify", "--game", "g.json", "--horizon", "2", "--policy", "p.json"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: policy has 3 actions, the game has 2\n")

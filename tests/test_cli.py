@@ -220,6 +220,21 @@ class TestAtomicWrites:
                 == os.stat(tmp_path / "plain").st_mode)
 
 
+def _game_text(**header):
+    """A one-state game file with some of its header fields replaced."""
+    doc = {"version": 1, "n_states": 1, "n_row_actions": 1, "n_col_actions": 1,
+           "start_state": 0, "r_max": 1.0, "payoffs1": [[[0.5]]], "payoffs2": [[[0.5]]],
+           "transitions": [[[[{"to": 0, "p": 1.0}]]]]}
+    return json.dumps({**doc, **header})
+
+
+# header values of the wrong JSON type
+BAD_HEADERS = [("version", True), ("n_states", None), ("n_states", [1]), ("n_states", "1"),
+               ("n_states", 1.0), ("n_states", True), ("n_row_actions", None),
+               ("n_col_actions", [1]), ("start_state", None), ("r_max", None), ("r_max", [1]),
+               ("r_max", "x"), ("r_max", True)]
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize("argv, name, text", [
         (["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json", "5"),
@@ -229,6 +244,11 @@ class TestMalformedJson:
         (["run-suite", "suite.json"], "suite.json", '{"experiments": [5]}'),
         (["run-suite", "suite.json"], "suite.json", '{"experiments": 5}'),
         (["run-suite", "suite.json"], "suite.json", '{"experiments": ['),
+        *(pytest.param(["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json",
+                       _game_text(**{key: value}), id=f"{key}={json.dumps(value)}")
+          for key, value in BAD_HEADERS + [("start_state", 5)]),
+        pytest.param(["certify", "--game", "game.json", "--horizon", "2", "--policy", "p.json"],
+                     "p.json", '{"horizon": null, "entries": []}', id="horizon=null"),
     ])
     def test_exits_one_without_traceback(self, tmp_path, game_file, argv, name, text):
         (tmp_path / name).write_text(text)
@@ -236,6 +256,15 @@ class TestMalformedJson:
         assert r.returncode == 1
         assert "error:" in r.stderr
         assert "Traceback" not in r.stderr
+        assert name in r.stderr
+
+    @pytest.mark.parametrize("key, value", BAD_HEADERS)
+    def test_bad_header_names_the_key(self, tmp_path, key, value):
+        path = tmp_path / "g.json"
+        path.write_text(_game_text(**{key: value}))
+        with pytest.raises(GameFileError) as info:
+            load_game(path)
+        assert str(info.value).startswith(f"game file {path}: '{key}' must be ")
 
 
 class TestCommands:

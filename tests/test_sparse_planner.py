@@ -10,7 +10,8 @@ from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
                     single_state_game, sparse_game, as_generative)
 from sgplan import sparse_planner
 from sgplan.game_model import GenerativeModel
-from sgplan.sparse_planner import GapRow, SparsePlanResult, _derive_children, _uniforms
+from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _exact_levels,
+                                  _uniforms)
 
 from conftest import STANDARD_FIXTURE_SEED
 
@@ -356,6 +357,20 @@ class TestExactBitContract:
         for s in range(game.n_states):
             for t in range(4):
                 assert_same_bits(exact_sparse_game(game, s, t), ExactReference(game).plan(s, t))
+
+    @pytest.mark.parametrize("name", GAMES)
+    def test_full_table_matches_reach_restricted_oracle(self, name):
+        # gap_experiment reads its root errors from the table over every state
+        game = self.GAMES[name]()
+        levels = _exact_levels(game, np.ones((4, game.n_states), dtype=bool), nash_select)
+        for t, (q1, q2, rows, cols, v1, v2) in enumerate(levels):
+            for s in range(game.n_states):
+                want = exact_sparse_game(game, s, t)
+                assert np.array_equal(q1[s], want.q_matrices[0])
+                assert np.array_equal(q2[s], want.q_matrices[1])
+                assert np.array_equal(rows[s], want.profile.row.probs)
+                assert np.array_equal(cols[s], want.profile.col.probs)
+                assert (v1[s], v2[s]) == want.q_hats
 
     def test_fixtures_cover_their_cases(self):
         assert (self.GAMES["sparse branching"]().transitions > 0).sum(axis=-1).max() < 7
