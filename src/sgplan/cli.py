@@ -149,6 +149,9 @@ def _cmd_run_suite(args) -> int:
         argv = exp.get("argv")
         if not isinstance(argv, list) or not argv:
             raise GameFileError(f"{args.config}: experiment '{name}' has no argv list")
+        if str(argv[0]) == "run-suite":
+            raise GameFileError(f"{args.config}: experiment '{name}' runs run-suite; "
+                                "suites do not nest")
         code = main([str(a) for a in argv])
         if code != 0:
             print(f"experiment '{name}' failed with exit code {code}", file=sys.stderr)

@@ -132,9 +132,13 @@ def load_game(path) -> StochasticGame:
     transitions = np.zeros((n_states, n1, n2, n_states))
     try:
         for s, i, j in itertools.product(range(n_states), range(n1), range(n2)):
-            for entry in raw_transitions[s][i][j]:
-                to = int(entry["to"])
-                p = float(entry["p"])
+            for n, entry in enumerate(raw_transitions[s][i][j]):
+                to, p = entry["to"], entry["p"]
+                # save_game's types pass here at no cost; all else takes the header rule
+                if type(to) is not int or type(p) is not float or not math.isfinite(p):
+                    where = f"{path} transition (s={s}, i={i}, j={j}) entry {n}"
+                    to = _require_scalar(entry, "to", where)
+                    p = _require_scalar(entry, "p", where, float)
                 if not 0 <= to < n_states:
                     raise GameFileError(f"{path}: transition at (s={s}, i={i}, j={j}) "
                                         f"points to invalid state {to}")
@@ -188,11 +192,15 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     if not entries:
         raise GameFileError(f"{path}: policy file has no entries")
     try:
-        keys = [(int(entry["state"]), int(entry["t"])) for entry in entries]
+        keys = [(entry["state"], entry["t"]) for entry in entries]
         halves = [[np.array(entry[half], dtype=float) for entry in entries]
                   for half in ("row_probs", "col_probs")]
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFileError(f"{path}: policy entries are malformed: {exc!r}") from exc
+    for n, key in enumerate(keys):
+        if type(key[0]) is not int or type(key[1]) is not int:  # raise the header rule's error
+            for name in ("state", "t"):
+                _require_scalar(entries[n], name, f"{path} entry {n}", kind="policy")
     n_states = max(s for s, _ in keys) + 1
     # sorted, the keys must step through the grid states x 0..horizon-1
     grid = ((s, t) for s in range(n_states) for t in range(horizon))  # lazy: states may be huge

@@ -9,10 +9,14 @@ sampled backup matrices
 and plays the selection function's equilibrium of the pair.  The per-call
 cost is independent of the state-space size but exponential in t.
 
-The tree is expanded level-synchronously in array operations: top-down,
-every level is a flat array of states and seeds whose children are derived
-and sampled at once, the leaves in fixed blocks that are never stored;
-bottom-up, each level's backup matrices come from its children's value arrays.
+The tree is backed up by one recursion.  It takes the nodes it is given
+in blocks: a block's children are derived and sampled at once in array
+operations, backed up by the recursion one time step lower, and averaged --
+by numpy's (pairwise) mean over the m leaves at tt = 1, by a left-to-right
+sum divided by m above it.  The stage payoffs plus these means are the
+nodes' backup matrices.  A block has at most about _LEAF_BLOCK children at
+every level, so no level is ever held whole, and each distinct leaf
+state's stage game is selected once per planning call.
 
 All randomness is derived, never streamed: each branch (i, j, l) of a node
 gets its own 64-bit seed from a fixed SplitMix64-style mixing of
@@ -22,7 +26,7 @@ function of (model, state, t, m, seed) and invariant to the evaluation
 order of branches; both players' strategies come out of one shared run,
 which is what makes the induced policy pair a correlated near-equilibrium.
 
-The sampling-free oracle `exact_sparse_game` is level-synchronous too: it
+The sampling-free oracle `exact_sparse_game` is level-synchronous: it
 marks the states reachable at each level top-down, then backs them up from
 tt = 0.  Each expectation sums p(s') * value(s') over successors in
 ascending state order from 0.0, as a depth-first recursion would; `T @ v`
@@ -50,8 +54,8 @@ _UNIFORM_SALT = 0xD1B54A32D192ED03
 _INDEPENDENT_TAG = 0x494E444550  # retag for the independent-copy probe mode
 
 SEED_RULE = "splitmix64-v1"
-#: leaf draws are derived, sampled and averaged in blocks of about this
-#: many (at least one tt = 1 node's worth), so leaf seeds are never all held
+#: at every level, the children expanded at once number about this many
+#: (at least one node's worth), so no level's seeds are ever all held
 _LEAF_BLOCK = 4096
 
 
@@ -127,6 +131,16 @@ class SparsePlanResult:
     q_matrices: tuple[np.ndarray, np.ndarray]
     nodes_expanded: int
 
+    @classmethod
+    def of(cls, level, nodes_expanded: int) -> "SparsePlanResult":
+        """The result at the first node of a level tuple (q1, q2, rows, cols,
+        values1, values2), its backup matrices frozen."""
+        q1, q2, row, col, v1, v2 = (a[0] for a in level)
+        q1.setflags(write=False)
+        q2.setflags(write=False)
+        return cls(StrategyProfile.of(row, col, v1, v2), (float(v1), float(v2)), (q1, q2),
+                   nodes_expanded)
+
 
 def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: int,
             m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,56 +197,39 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         raise NodeBudgetExceeded(
             f"sparse recursion exceeded node budget {node_budget} "
             f"(root state={state}, t={t}, m={m})")
-    if t == 0:
-        q1, q2 = root_stage.payoff1, root_stage.payoff2
-        rows, cols, v1, v2 = select_level(selection, [q1], [q2], [state], 0)
-    else:
-        base_cache: dict[int, tuple[float, float]] = {}  # leaf state -> values
-        # top-down: the states of every internal level, root first
-        levels = [np.array([state], dtype=np.int64)]
-        seeds = np.array([spec.root_seed], dtype=np.uint64)
-        for tt in range(t, 1, -1):
-            children, child_seeds = _expand(model, levels[-1], seeds, tt, m)
-            levels.append(children.ravel())
-            seeds = child_seeds.ravel()
-        # the leaves below the tt = 1 level, drawn and averaged block by
-        # block; tt = 1 takes numpy's (pairwise) mean over the m draws
-        last = levels[-1]
-        means = np.empty((2, last.size, n1, n2))
-        per_block = max(1, _LEAF_BLOCK // width)
-        for lo in range(0, last.size, per_block):
-            block = slice(lo, lo + per_block)
-            leaves, _ = _expand(model, last[block], seeds[block], 1, m)
-            uniq, inverse = np.unique(leaves, return_inverse=True)
-            new = [s for s in uniq.tolist() if s not in base_cache]
-            stages = [model.payoffs(s) for s in new]
-            _, _, v1, v2 = select_level(selection, [g.payoff1 for g in stages],
-                                        [g.payoff2 for g in stages], new, 0)
-            base_cache.update(zip(new, zip(v1, v2)))
-            leaf_values = np.array([base_cache[s] for s in uniq.tolist()]).T
-            inverse = inverse.reshape(leaves.shape)
-            means[0, block] = leaf_values[0][inverse].mean(axis=-1)
-            means[1, block] = leaf_values[1][inverse].mean(axis=-1)
-        # bottom-up: above tt = 1 the child values are summed left to right
-        for k in range(t - 1, -1, -1):
-            states = levels[k]
-            if k < t - 1:
-                child = values.reshape(2, states.size, n1, n2, m)
-                total = np.zeros((2, states.size, n1, n2))
-                for ell in range(m):
-                    total += child[..., ell]
-                means = total / m
+    per_block = max(1, _LEAF_BLOCK // width)
+    stage_cache: dict[int, tuple] = {}  # state -> its stage game's (q1, q2, row, col, v1, v2)
+
+    def backup(states: np.ndarray, seeds: np.ndarray, tt: int):
+        """The level tuple (q1, q2, rows, cols, values1, values2) of the
+        nodes (states, seeds) at time remaining tt, one entry per node; at
+        tt = 0 only the values are per node, the rest per distinct state."""
+        if tt == 0:
             uniq, inverse = np.unique(states, return_inverse=True)
-            stages = [model.payoffs(s) for s in uniq.tolist()]
-            q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
-            q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
-            rows, cols, v1, v2 = select_level(selection, q1, q2, states, t - k)
-            values = np.stack([v1, v2])
-        q1, q2 = q1[0], q2[0]
-    q1.setflags(write=False)
-    q2.setflags(write=False)
-    return SparsePlanResult(StrategyProfile.of(rows[0], cols[0], v1[0], v2[0]),
-                            (float(v1[0]), float(v2[0])), (q1, q2), nodes)
+            new = [s for s in uniq.tolist() if s not in stage_cache]
+            stages = [model.payoffs(s) for s in new]
+            q1, q2 = [g.payoff1 for g in stages], [g.payoff2 for g in stages]
+            stage_cache.update(zip(new, zip(q1, q2, *select_level(selection, q1, q2, new, 0))))
+            q1, q2, rows, cols, v1, v2 = map(np.array, zip(*map(stage_cache.get, uniq.tolist())))
+            return q1, q2, rows, cols, v1[inverse], v2[inverse]
+        means = np.empty((2, states.size, n1, n2))
+        for lo in range(0, states.size, per_block):
+            block = slice(lo, lo + per_block)
+            children, child_seeds = _expand(model, states[block], seeds[block], tt, m)
+            for k, v in enumerate(backup(children.ravel(), child_seeds.ravel(), tt - 1)[4:]):
+                v = v.reshape(children.shape)
+                if tt == 1:  # numpy's (pairwise) mean over the m leaves
+                    means[k, block] = v.mean(axis=-1)
+                else:  # the child values summed left to right from 0.0
+                    means[k, block] = sum(v[..., ell] for ell in range(m)) / m
+        uniq, inverse = np.unique(states, return_inverse=True)
+        stages = [model.payoffs(s) for s in uniq.tolist()]
+        q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
+        q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
+        return (q1, q2) + select_level(selection, q1, q2, states, tt)
+
+    return SparsePlanResult.of(backup(np.array([state], dtype=np.int64),
+                                      np.array([spec.root_seed], dtype=np.uint64), t), nodes)
 
 
 def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionFunction):
@@ -269,11 +266,7 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
     reach[t, state] = True
     for tt in range(t, 0, -1):
         reach[tt - 1] = game.transitions[reach[tt]].any(axis=(0, 1, 2))
-    (q1,), (q2,), rows, cols, v1, v2 = _exact_levels(game, reach, selection)[-1]
-    q1.setflags(write=False)
-    q2.setflags(write=False)
-    return SparsePlanResult(StrategyProfile.of(rows[0], cols[0], v1[0], v2[0]),
-                            (float(v1[0]), float(v2[0])), (q1, q2), int(reach.sum()))
+    return SparsePlanResult.of(_exact_levels(game, reach, selection)[-1], int(reach.sum()))
 
 
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:

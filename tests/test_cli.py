@@ -235,6 +235,31 @@ BAD_HEADERS = [("version", True), ("n_states", None), ("n_states", [1]), ("n_sta
                ("r_max", "x"), ("r_max", True)]
 
 
+def _transition_text(to=1, p=1.0):
+    """A two-state game file whose first transition entry is {"to": to, "p": p}."""
+    return _game_text(n_states=2, payoffs1=[[[0.5]]] * 2, payoffs2=[[[0.5]]] * 2,
+                      transitions=[[[[{"to": to, "p": p}]]], [[[{"to": 0, "p": 1.0}]]]])
+
+
+def _policy_text(state=0, t=0):
+    """A complete policy file for 3 states, horizon 2 and 2x2 actions whose
+    first entry has the keys state and t in place of (0, 0)."""
+    keys = [(state, t)] + [(s, k) for s in range(3) for k in range(2)][1:]
+    return json.dumps({"horizon": 2, "entries": [
+        {"state": s, "t": k, "row_probs": [1.0, 0.0], "col_probs": [0.5, 0.5]}
+        for s, k in keys]})
+
+
+# transition and policy entry keys of the wrong JSON type: the first key
+# named is the one reported
+BAD_TRANSITIONS = [{"to": 1.7}, {"to": "1"}, {"to": True}, {"p": "1.0"}, {"p": True}]
+BAD_POLICY_KEYS = [{"state": 0.9, "t": "0"}, {"state": True, "t": False}, {"t": "0"}]
+
+
+def _entry_id(bad):
+    return ",".join(f"{key}={json.dumps(value)}" for key, value in bad.items())
+
+
 class TestMalformedJson:
     @pytest.mark.parametrize("argv, name, text", [
         (["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json", "5"),
@@ -249,6 +274,11 @@ class TestMalformedJson:
           for key, value in BAD_HEADERS + [("start_state", 5)]),
         pytest.param(["certify", "--game", "game.json", "--horizon", "2", "--policy", "p.json"],
                      "p.json", '{"horizon": null, "entries": []}', id="horizon=null"),
+        *(pytest.param(["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json",
+                       _transition_text(**bad), id=_entry_id(bad)) for bad in BAD_TRANSITIONS),
+        *(pytest.param(["certify", "--game", "game.json", "--horizon", "2",
+                        "--policy", "p.json"], "p.json", _policy_text(**bad), id=_entry_id(bad))
+          for bad in BAD_POLICY_KEYS),
     ])
     def test_exits_one_without_traceback(self, tmp_path, game_file, argv, name, text):
         (tmp_path / name).write_text(text)
@@ -265,6 +295,24 @@ class TestMalformedJson:
         with pytest.raises(GameFileError) as info:
             load_game(path)
         assert str(info.value).startswith(f"game file {path}: '{key}' must be ")
+
+    @pytest.mark.parametrize("bad", BAD_TRANSITIONS, ids=_entry_id)
+    def test_bad_transition_names_the_entry(self, tmp_path, bad):
+        path = tmp_path / "g.json"
+        path.write_text(_transition_text(**bad))
+        with pytest.raises(GameFileError) as info:
+            load_game(path)
+        assert str(info.value).startswith(f"game file {path} transition (s=0, i=0, j=0) "
+                                          f"entry 0: '{next(iter(bad))}' must be ")
+
+    @pytest.mark.parametrize("bad", BAD_POLICY_KEYS, ids=_entry_id)
+    def test_bad_policy_key_names_the_entry(self, tmp_path, bad):
+        path = tmp_path / "p.json"
+        path.write_text(_policy_text(**bad))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value).startswith(
+            f"policy file {path} entry 0: '{next(iter(bad))}' must be ")
 
 
 class TestCommands:
@@ -478,6 +526,14 @@ class TestRunSuite:
         r = run_cli(["run-suite", "suite.json"], tmp_path)
         assert r.returncode == 1
         assert "experiment 'misspelt' failed with exit code 1" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_nested_suite_refused(self, tmp_path):
+        config = {"experiments": [{"name": "inner", "argv": ["run-suite", "suite.json"]}]}
+        (tmp_path / "suite.json").write_text(json.dumps(config))
+        r = run_cli(["run-suite", "suite.json"], tmp_path)
+        assert r.returncode == 1
+        assert "error: suite.json: experiment 'inner' runs run-suite" in r.stderr
         assert "Traceback" not in r.stderr
 
 

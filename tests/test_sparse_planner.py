@@ -282,7 +282,7 @@ class TestSparseGame:
 
 
 class TestBitContract:
-    """The level-synchronous expansion reproduces the depth-first
+    """The blocked recursion reproduces the depth-first
     recursion bit for bit."""
 
     @pytest.mark.parametrize("shape", [(3, 2, 2, 2, 1.0, 7), (4, 3, 2, 3, 1.0, 11)])
@@ -307,10 +307,27 @@ class TestBitContract:
                              sparse_game(explicit, 2, t, m, seed=13))
 
     def test_leaf_blocks_do_not_change_bits(self, three_state_game, monkeypatch):
-        model = as_generative(three_state_game)
-        want = sparse_game(model, 0, 3, 5, seed=3)
+        models = [as_generative(g) for g in (three_state_game,
+                                               random_game(4, 3, 2, 3, 1.0, seed=11))]
+        want = [sparse_game(model, 0, 3, 5, seed=3) for model in models]
         monkeypatch.setattr(sparse_planner, "_LEAF_BLOCK", 1)
-        assert_same_bits(sparse_game(model, 0, 3, 5, seed=3), want)
+        for model, result in zip(models, want):
+            assert_same_bits(sparse_game(model, 0, 3, 5, seed=3), result)
+
+    def test_every_level_expands_in_blocks(self, three_state_game, monkeypatch):
+        model = as_generative(three_state_game)
+        want = sparse_game(model, 0, 3, 2, seed=3)
+        sizes = []
+        expand = sparse_planner._expand
+
+        def recording(model, states, *rest):
+            sizes.append(states.size)
+            return expand(model, states, *rest)
+        monkeypatch.setattr(sparse_planner, "_expand", recording)
+        monkeypatch.setattr(sparse_planner, "_LEAF_BLOCK", 32)  # 32 // (2 * 2 * 2) = 4 nodes
+        assert_same_bits(sparse_game(model, 0, 3, 2, seed=3), want)
+        assert max(sizes) == 4
+        assert sum(sizes) == 1 + 8 + 64  # every node above the leaves, once
 
 
 class TestExactOracle:
