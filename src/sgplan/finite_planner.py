@@ -19,6 +19,10 @@ values are undiscounted payoff sums; everything reported externally
 `select_level` is the one place a selection function meets backup games and
 its profiles become arrays: `backup_sweeps` here, and the sampler and exact
 oracle of `sparse_planner`, hand it one level of backup pairs at a time.
+`nash_select` and `security_select` select a whole level through their array
+forms (see `matrix_games`), with the bits the per-game path gives; any other
+selection function, a wrapper around one of those two included, takes the
+per-game path: one MatrixGame in and one StrategyProfile out per pair.
 `finite_vi` runs the first H sweeps, at gamma = 1, of the discounted backup.
 
 Policies are (n_states, horizon, n_actions) strategy arrays with all-NaN
@@ -81,15 +85,30 @@ class FiniteVIResult:
 def select_level(selection: SelectionFunction, q1, q2, states, t: int):
     """Select an equilibrium of each backup pair (q1[k], q2[k]) of a level of
     K pairs: (rows (K, n1), cols (K, n2), values1 (K,), values2 (K,)).  A
-    selection error at pair k becomes SelectionFailure(states[k], t)."""
-    profiles = []
-    for k, s in enumerate(states):
+    selection error at pair k becomes SelectionFailure(states[k], t), for
+    the first failing k.
+
+    A selection with an `array_form` (nash_select and security_select have
+    one) selects the whole level in array operations and hands back the
+    pairs it leaves; those, and every pair of any other selection or of a
+    level with a non-finite payoff, take the per-game path: a MatrixGame
+    in, a StrategyProfile out."""
+    # C order, as MatrixGame's copies have: matrix products take their bits from the layout
+    q1, q2 = np.ascontiguousarray(q1, dtype=float), np.ascontiguousarray(q2, dtype=float)
+    n, n1, n2 = q1.shape
+    rows, cols, values1, values2 = np.empty((n, n1)), np.empty((n, n2)), np.empty(n), np.empty(n)
+    array_form = getattr(selection, "array_form", None)
+    if array_form is None or not (np.isfinite(q1).all() and np.isfinite(q2).all()):
+        rest = range(n)  # MatrixGame raises for a non-finite pair as it always has
+    else:
+        rest = array_form(q1, q2, rows, cols, values1, values2)
+    for k in rest:
         try:
-            profiles.append(selection(MatrixGame(q1[k], q2[k])))
+            p = selection(MatrixGame(q1[k], q2[k]))
         except SgError as exc:
-            raise SelectionFailure(int(s), t, exc) from exc
-    return (np.array([p.row.probs for p in profiles]), np.array([p.col.probs for p in profiles]),
-            np.array([p.value1 for p in profiles]), np.array([p.value2 for p in profiles]))
+            raise SelectionFailure(int(states[k]), t, exc) from exc
+        rows[k], cols[k], values1[k], values2[k] = p.row.probs, p.col.probs, p.value1, p.value2
+    return rows, cols, values1, values2
 
 
 def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction):

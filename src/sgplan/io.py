@@ -102,6 +102,27 @@ def _require_scalar(doc: dict, key: str, path, want: type = int, kind: str = "ga
     raise GameFileError(f"{kind} file {path}: '{key}' must be {what}, got {json.dumps(value)}")
 
 
+def _require_numbers(doc: dict, key: str, path, kind: str = "game") -> np.ndarray:
+    """`_require` for an array field: nested lists of JSON numbers, as a float
+    array.  Each element must be a JSON integer or number, so strings such
+    as "0.5", null, and JSON true or false are refused rather than
+    converted; NaN and infinities are left to the game and policy checks,
+    which refuse them."""
+    value = _require(doc, key, path, kind)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GameFileError(f"{kind} file {path}: '{key}' is malformed: {exc}") from exc
+    leaves = value if arr.ndim else [value]
+    for _ in range(arr.ndim - 1):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    if not set(map(type, leaves)) <= {int, float}:
+        bad = next(x for x in leaves if type(x) not in (int, float))
+        raise GameFileError(f"{kind} file {path}: '{key}' must hold numbers only, "
+                            f"got {json.dumps(bad)}")
+    return arr
+
+
 def load_game(path) -> StochasticGame:
     """Parse and validate a game file.
 
@@ -118,11 +139,7 @@ def load_game(path) -> StochasticGame:
     if not 0 <= start_state < n_states:
         raise GameFileError(f"{path}: start_state {start_state} not in 0..{n_states - 1}")
     r_max = _require_scalar(doc, "r_max", path, float)
-    try:
-        payoffs1 = np.array(_require(doc, "payoffs1", path), dtype=float)
-        payoffs2 = np.array(_require(doc, "payoffs2", path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise GameFileError(f"{path}: payoff arrays are malformed: {exc}") from exc
+    payoffs1, payoffs2 = (_require_numbers(doc, key, path) for key in ("payoffs1", "payoffs2"))
     for name, payoffs in (("payoffs1", payoffs1), ("payoffs2", payoffs2)):
         if payoffs.shape != (n_states, n1, n2):
             raise GameFileError(f"{path}: {name} has shape {payoffs.shape}, "
@@ -193,10 +210,18 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
         raise GameFileError(f"{path}: policy file has no entries")
     try:
         keys = [(entry["state"], entry["t"]) for entry in entries]
-        halves = [[np.array(entry[half], dtype=float) for entry in entries]
-                  for half in ("row_probs", "col_probs")]
-    except (KeyError, TypeError, ValueError) as exc:
+        columns = [[entry[half] for entry in entries] for half in ("row_probs", "col_probs")]
+    except (KeyError, TypeError) as exc:
         raise GameFileError(f"{path}: policy entries are malformed: {exc!r}") from exc
+    halves = []
+    for half, column in zip(("row_probs", "col_probs"), columns):
+        try:  # one pass over all of a half's probabilities; entry by entry only to name a fault
+            numbers = set(map(type, itertools.chain.from_iterable(column))) <= {int, float}
+        except TypeError:  # an entry that is not a list
+            numbers = False
+        halves.append([np.array(value, dtype=float) if numbers
+                       else _require_numbers(entry, half, f"{path} entry {n}", "policy")
+                       for n, (entry, value) in enumerate(zip(entries, column))])
     for n, key in enumerate(keys):
         if type(key[0]) is not int or type(key[1]) is not int:  # raise the header rule's error
             for name in ("state", "t"):

@@ -7,14 +7,27 @@ security levels, support-enumeration of all Nash equilibria, and the two
 deterministic selection functions (`nash_select`, `security_select`) the
 planners compose state by state.
 
-Enumeration is one core over payoff arrays, `_equilibria(m1, m2, cap)`,
-yielding (alpha, beta, value1, value2); the public functions wrap its
-arrays through `StrategyProfile.of`.  It visits support pairs of equal size
-(unequal ones carry no isolated equilibrium) in a fixed canonical order --
-ascending (size, lexicographic row support, lexicographic column support) --
-so that selection is a pure function of the matrix entries.  A degenerate
-game can leave that order empty; the core then falls back to the vertex
-pairs of the best-response polytopes, in a fixed order too.
+Enumeration visits support pairs of equal size (unequal ones carry no
+isolated equilibrium) in a fixed canonical order -- ascending (size,
+lexicographic row support, lexicographic column support) -- so that
+selection is a pure function of the matrix entries.  One routine,
+`_candidates`, tests a support pair on a stack of games at once: the
+indifference systems of the whole stack go through one stacked solve, then
+the support, deviation and Nash-gap checks.  The scalar core
+`_equilibria(m1, m2, cap)` runs it on a stack of one and yields (alpha, beta,
+value1, value2); the public functions wrap those arrays through
+`StrategyProfile.of`.  A degenerate game can leave the canonical order
+empty; the scalar core then falls back to the vertex pairs of the
+best-response polytopes, in a fixed order too.
+
+`nash_select` and `security_select` carry an array form, `array_form`, that
+selects a whole (K, n1, n2) stack of games with the same output bits.
+`finite_planner.select_level` uses it when a selection has one.  The Nash
+form, `_nash_stack`, walks the canonical order once, testing at each
+support pair only the games no earlier pair settled; a game that no pair
+settles is left to `nash_select` itself and so to the vertex fallback.  The
+security form makes the two maximin calls per game with no MatrixGame or
+StrategyProfile in between.
 """
 
 from __future__ import annotations
@@ -256,6 +269,24 @@ def security_select(game: MatrixGame) -> StrategyProfile:
     return StrategyProfile.of(alpha, beta, s1, s2)
 
 
+def _security_stack(m1, m2, rows, cols, values1, values2) -> list[int]:
+    """Array form of `security_select` over a stack of games (K, n1, n2) with
+    finite payoffs: the selection of game k goes to rows[k], cols[k],
+    values1[k] and values2[k].  Returns the games whose maximin raised, left
+    to `security_select` itself."""
+    rest = []
+    for k in range(len(m1)):
+        try:
+            rows[k], _, values1[k] = _maximin(m1[k])
+            cols[k], _, values2[k] = _maximin(m2[k].T)
+        except SgError:
+            rest.append(k)
+    return rest
+
+
+security_select.array_form = _security_stack
+
+
 def _support_pairs(n1: int, n2: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     # canonical order: ascending (k, lex sup1, lex sup2), both supports of size k
     for k in range(1, min(n1, n2) + 1):
@@ -265,73 +296,101 @@ def _support_pairs(n1: int, n2: int) -> Iterator[tuple[tuple[int, ...], tuple[in
 
 
 def _solve_linear(a: np.ndarray, b: np.ndarray):
-    """Unique solution of the square system a x = b; None when singular or
-    ill-conditioned (estimate > 1e12)."""
-    n = a.shape[0]
+    """Solutions x[g] of a stack of square systems a[g] x = b[g], and a mask
+    of the systems solved: False where a[g] is singular or ill-conditioned
+    (estimate > 1e12), and x[g] then means nothing."""
+    n = a.shape[-1]
+    rhs = np.empty(b.shape + (n + 1,))  # [b | I]: the solve gives x and the inverse
+    rhs[..., 0] = b
+    rhs[..., 1:] = np.eye(n)
     try:
-        aug = np.linalg.solve(a, np.concatenate([b[:, None], np.eye(n)], axis=1))
+        aug = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        return None
-    x = aug[:, 0]
-    inv = aug[:, 1:]
-    cond = np.abs(a).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        return None
-    return x
+        if len(a) == 1:
+            return np.zeros(b.shape), np.zeros(1, dtype=bool)
+        # one singular system fails the whole stack: solve them one at a time
+        parts = [_solve_linear(a[g:g + 1], b[g:g + 1]) for g in range(len(a))]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    cond = np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(aug[..., 1:]).sum(axis=-1).max(axis=-1)
+    return aug[..., 0], cond <= _COND_LIMIT  # false for an infinite or NaN estimate too
 
 
-def _indifference(block: np.ndarray):
-    """The opponent support strategy that makes a player indifferent across
-    the rows of `block`, their payoffs on the two supports; or None."""
-    k1, k2 = block.shape
-    system = np.zeros((k1 + 1, k2 + 1))
-    system[:k1, :k2] = block
-    system[:k1, k2] = -1.0
-    system[k1, :k2] = 1.0
-    rhs = np.zeros(k1 + 1)
-    rhs[k1] = 1.0
-    sol = _solve_linear(system, rhs)
-    return None if sol is None else sol[:k2]
+def _indifference(blocks: np.ndarray):
+    """For each block of a (B, k1, k2) stack, a player's payoffs on the two
+    supports, the opponent support strategy that makes the player
+    indifferent across the block's rows: (strategies (B, k2), solved (B,))."""
+    n, k1, k2 = blocks.shape
+    system = np.zeros((n, k1 + 1, k2 + 1))
+    system[:, :k1, :k2] = blocks
+    system[:, :k1, k2] = -1.0
+    system[:, k1, :k2] = 1.0
+    rhs = np.zeros((n, k1 + 1))
+    rhs[:, k1] = 1.0
+    x, solved = _solve_linear(system, rhs)
+    return x[:, :k2], solved
 
 
-def _profile_on_supports(m1, m2, sup1, sup2, tol: float, tie: float):
-    """Candidate equilibrium (alpha, beta, value1, value2) with the exact
-    supports (sup1, sup2) of equal size, if the indifference conditions and
-    best-response checks admit one; else None.
+def _candidates(m1, m2, sup1, sup2, scale):
+    """The equilibria of a stack of games (m1, m2), (B, n1, n2), on the exact
+    supports (sup1, sup2) of equal size: (games, alpha, beta, values1,
+    values2) for the indices `games` of the stack whose candidate passes the
+    indifference, support, deviation and Nash-gap checks; None if no game's
+    does.
 
-    tol is the slack on support probabilities; a deviation must gain more
-    than tie, a rounding-level slack, to rule the candidate out. A looser
-    deviation slack would admit near-equilibria ahead of the exact ones.
+    scale (B,) is each game's payoff scale.  A support probability must
+    exceed SUPPORT_TOL * scale and the Nash gap stay within VERIFY_TOL *
+    scale; a deviation must gain more than _TIE_TOL * scale, a rounding-level
+    slack, to rule the candidate out.  A looser deviation slack would admit
+    near-equilibria ahead of the exact ones.  The second solve sees only the
+    games whose first one passed, and the products only those whose
+    supports hold, so no step computes on the output of a failed solve.
     """
+    n1, n2 = m1.shape[1:]
+    tie = _TIE_TOL * scale
     if len(sup1) == 1:
+        # a pure candidate that passes the tie checks has a Nash gap of at most tie
         i, j = sup1[0], sup2[0]
-        v1 = m1[i, j]
-        v2 = m2[i, j]
-        if m1[:, j].max() > v1 + tie or m2[i, :].max() > v2 + tie:
+        v1, v2 = m1[:, i, j], m2[:, i, j]
+        games = np.flatnonzero((m1[:, :, j].max(axis=1) <= v1 + tie)
+                               & (m2[:, i, :].max(axis=1) <= v2 + tie))
+        if not games.size:
             return None
-        return np.eye(m1.shape[0])[i], np.eye(m1.shape[1])[j], float(v1), float(v2)
-
-    r1 = np.asarray(sup1)
-    c2 = np.asarray(sup2)
-    beta_s = _indifference(m1[np.ix_(r1, c2)])
-    alpha_s = None if beta_s is None else _indifference(m2[np.ix_(r1, c2)].T)
-    if alpha_s is None:
-        return None
+        alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
+        alpha[:, i] = beta[:, j] = 1.0
+        return games, alpha, beta, v1[games], v2[games]
 
     # the solution must live on exactly the declared supports
-    if beta_s.min() <= tol or alpha_s.min() <= tol:
+    tol = SUPPORT_TOL * scale
+    r1, c2 = np.array(sup1), np.array(sup2)
+    beta_s, solved = _indifference(m1[:, r1[:, None], c2])
+    games = np.flatnonzero(solved & (beta_s.min(axis=1) > tol))
+    if not games.size:
         return None
-    alpha = np.zeros(m1.shape[0])
-    beta = np.zeros(m1.shape[1])
-    alpha[r1] = alpha_s / alpha_s.sum()
-    beta[c2] = beta_s / beta_s.sum()
+    alpha_s, solved = _indifference(m2[games[:, None, None], r1[:, None], c2].transpose(0, 2, 1))
+    keep = solved & (alpha_s.min(axis=1) > tol[games])
+    games, alpha_s, beta_s = games[keep], alpha_s[keep], beta_s[games[keep]]
+    if not games.size:
+        return None
+    alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
+    alpha[:, r1] = alpha_s / alpha_s.sum(axis=1, keepdims=True)
+    beta[:, c2] = beta_s / beta_s.sum(axis=1, keepdims=True)
+    if games.size < len(m1):  # narrow only when needed: a caller's stack of one keeps
+        m1, m2 = m1[games], m2[games]  # its strides, and with them its matmul bits
+    alpha_row, beta_col = alpha[:, None, :], beta[:, :, None]
     # no profitable pure deviation outside the supports, measured against the
     # support payoffs themselves so that the solve error does not enter
-    pay1 = m1 @ beta
-    pay2 = alpha @ m2
-    if pay1.max() > pay1[r1].max() + tie or pay2.max() > pay2[c2].max() + tie:
+    pay1 = (m1 @ beta_col)[:, :, 0]
+    pay2 = (alpha_row @ m2)[:, 0, :]
+    tie, verify = tie[games], VERIFY_TOL * scale[games]
+    v2 = (pay2[:, None, :] @ beta_col)[:, 0, 0]
+    keep = ((pay1.max(axis=1) <= pay1[:, r1].max(axis=1) + tie)
+            & (pay2.max(axis=1) <= pay2[:, c2].max(axis=1) + tie)
+            & (pay1.max(axis=1) - (alpha_row @ pay1[:, :, None])[:, 0, 0] <= verify)
+            & (pay2.max(axis=1) - v2 <= verify))
+    if not keep.any():
         return None
-    return alpha, beta, float(alpha @ m1 @ beta), float(alpha @ m2 @ beta)
+    v1 = ((alpha_row @ m1) @ beta_col)[:, 0, 0]
+    return games[keep], alpha[keep], beta[keep], v1[keep], v2[keep]
 
 
 def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]]:
@@ -341,10 +400,10 @@ def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]
     the tolerances are absolute."""
     out = []
     seen = set()
-    for rows in itertools.combinations(range(g.shape[0]), g.shape[1]):
-        idx = np.asarray(rows)
-        z = _solve_linear(g[idx], h[idx])
-        if z is None or z.sum() <= SUPPORT_TOL or np.any(g @ z > h + _TIE_TOL):
+    subsystems = np.array(list(itertools.combinations(range(g.shape[0]), g.shape[1])))
+    zs, solved = _solve_linear(g[subsystems], h[subsystems])
+    for z in zs[solved]:
+        if z.sum() <= SUPPORT_TOL or np.any(g @ z > h + _TIE_TOL):
             continue
         # only rounding-level slack counts as tight: a looser one labels
         # near-tight rows and pairs up near-equilibria
@@ -391,16 +450,22 @@ def _equilibria(m1: np.ndarray, m2: np.ndarray, cap: int):
         raise EnumerationCapExceeded(
             f"support enumeration capped at {cap} actions per player, game is {n1}x{n2}")
     scale = _scale(m1, m2)
-    candidates = (_profile_on_supports(m1, m2, sup1, sup2, SUPPORT_TOL * scale, _TIE_TOL * scale)
-                  for sup1, sup2 in _support_pairs(n1, n2))
-    for source in ((c for c in candidates if c is not None), _vertex_pairs(m1, m2)):
-        found = False
-        for eq in source:
-            if max(_gaps(m1, m2, eq[0], eq[1])) <= VERIFY_TOL * scale:
-                found = True
-                yield eq
-        if found:
-            return
+    found = False
+    stack1, stack2, scales = m1[None], m2[None], np.array([scale])
+    for sup1, sup2 in _support_pairs(n1, n2):
+        accepted = _candidates(stack1, stack2, sup1, sup2, scales)
+        if accepted is not None:
+            found = True
+            _, alpha, beta, v1, v2 = accepted
+            yield alpha[0], beta[0], float(v1[0]), float(v2[0])
+    if found:
+        return
+    for eq in _vertex_pairs(m1, m2):
+        if max(_gaps(m1, m2, eq[0], eq[1])) <= VERIFY_TOL * scale:
+            found = True
+            yield eq
+    if found:
+        return
     raise DegenerateGame(
         f"no equilibrium survived verification at Nash-gap tolerance {VERIFY_TOL * scale:g} "
         f"and support tolerance {SUPPORT_TOL * scale:g} (VERIFY_TOL and SUPPORT_TOL times "
@@ -425,3 +490,37 @@ def nash_select(game: MatrixGame) -> StrategyProfile:
     Deterministic: entrywise-identical inputs give bit-identical output.
     """
     return StrategyProfile.of(*next(_equilibria(game.payoff1, game.payoff2, ENUMERATION_CAP)))
+
+
+def _nash_stack(m1, m2, rows, cols, values1, values2) -> np.ndarray:
+    """Array form of `nash_select` over a stack of games (K, n1, n2) with
+    finite payoffs: the selection of game k goes to rows[k], cols[k],
+    values1[k] and values2[k].
+
+    One walk of the canonical support order; each support pair's candidates
+    are computed, by `_candidates`, for the games no earlier pair settled.
+    Returns the games it leaves to `nash_select` itself, in ascending order:
+    those no support pair accepts (the vertex fallback), and all of them
+    above ENUMERATION_CAP.
+    """
+    n1, n2 = m1.shape[1:]
+    if max(n1, n2) > ENUMERATION_CAP:
+        return np.arange(len(m1))
+    settled = np.zeros(len(m1), dtype=bool)
+    scale = np.maximum(np.abs(m1).max(axis=(1, 2), initial=1.0),
+                       np.abs(m2).max(axis=(1, 2), initial=1.0))
+    for sup1, sup2 in _support_pairs(n1, n2):
+        games = np.flatnonzero(~settled)
+        if not games.size:
+            break
+        found = _candidates(m1[games], m2[games], sup1, sup2, scale[games])
+        if found is None:
+            continue
+        hit, alpha, beta, v1, v2 = found
+        hit = games[hit]
+        rows[hit], cols[hit], values1[hit], values2[hit] = alpha, beta, v1, v2
+        settled[hit] = True
+    return np.flatnonzero(~settled)
+
+
+nash_select.array_form = _nash_stack

@@ -208,7 +208,8 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             uniq, inverse = np.unique(states, return_inverse=True)
             new = [s for s in uniq.tolist() if s not in stage_cache]
             stages = [model.payoffs(s) for s in new]
-            q1, q2 = [g.payoff1 for g in stages], [g.payoff2 for g in stages]
+            q1 = np.reshape([g.payoff1 for g in stages], (-1, n1, n2))
+            q2 = np.reshape([g.payoff2 for g in stages], (-1, n1, n2))
             stage_cache.update(zip(new, zip(q1, q2, *select_level(selection, q1, q2, new, 0))))
             q1, q2, rows, cols, v1, v2 = map(np.array, zip(*map(stage_cache.get, uniq.tolist())))
             return q1, q2, rows, cols, v1[inverse], v2[inverse]

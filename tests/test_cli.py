@@ -241,19 +241,25 @@ def _transition_text(to=1, p=1.0):
                       transitions=[[[[{"to": to, "p": p}]]], [[[{"to": 0, "p": 1.0}]]]])
 
 
-def _policy_text(state=0, t=0):
+def _policy_text(state=0, t=0, **probs):
     """A complete policy file for 3 states, horizon 2 and 2x2 actions whose
-    first entry has the keys state and t in place of (0, 0)."""
+    first entry has the keys state and t in place of (0, 0), and the
+    row_probs or col_probs given in probs."""
     keys = [(state, t)] + [(s, k) for s in range(3) for k in range(2)][1:]
-    return json.dumps({"horizon": 2, "entries": [
-        {"state": s, "t": k, "row_probs": [1.0, 0.0], "col_probs": [0.5, 0.5]}
-        for s, k in keys]})
+    entries = [{"state": s, "t": k, "row_probs": [1.0, 0.0], "col_probs": [0.5, 0.5]}
+               for s, k in keys]
+    entries[0].update(probs)
+    return json.dumps({"horizon": 2, "entries": entries})
 
 
 # transition and policy entry keys of the wrong JSON type: the first key
 # named is the one reported
 BAD_TRANSITIONS = [{"to": 1.7}, {"to": "1"}, {"to": True}, {"p": "1.0"}, {"p": True}]
 BAD_POLICY_KEYS = [{"state": 0.9, "t": "0"}, {"state": True, "t": False}, {"t": "0"}]
+# payoff and probability arrays holding an element that is not a JSON number
+BAD_PAYOFFS = [{"payoffs1": [[["0.5"]]]}, {"payoffs2": [[[True]]]}, {"payoffs1": [[[None]]]}]
+BAD_POLICY_PROBS = [{"row_probs": ["1.0", 0.0]}, {"col_probs": [True, False]},
+                    {"row_probs": [1.0, None]}]
 
 
 def _entry_id(bad):
@@ -278,7 +284,9 @@ class TestMalformedJson:
                        _transition_text(**bad), id=_entry_id(bad)) for bad in BAD_TRANSITIONS),
         *(pytest.param(["certify", "--game", "game.json", "--horizon", "2",
                         "--policy", "p.json"], "p.json", _policy_text(**bad), id=_entry_id(bad))
-          for bad in BAD_POLICY_KEYS),
+          for bad in BAD_POLICY_KEYS + BAD_POLICY_PROBS),
+        *(pytest.param(["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json",
+                       _game_text(**bad), id=_entry_id(bad)) for bad in BAD_PAYOFFS),
     ])
     def test_exits_one_without_traceback(self, tmp_path, game_file, argv, name, text):
         (tmp_path / name).write_text(text)
@@ -313,6 +321,24 @@ class TestMalformedJson:
             load_policy_pair(path)
         assert str(info.value).startswith(
             f"policy file {path} entry 0: '{next(iter(bad))}' must be ")
+
+    @pytest.mark.parametrize("bad", BAD_PAYOFFS, ids=_entry_id)
+    def test_bad_payoff_names_the_key(self, tmp_path, bad):
+        path = tmp_path / "g.json"
+        path.write_text(_game_text(**bad))
+        with pytest.raises(GameFileError) as info:
+            load_game(path)
+        assert str(info.value).startswith(
+            f"game file {path}: '{next(iter(bad))}' must hold numbers only, got ")
+
+    @pytest.mark.parametrize("bad", BAD_POLICY_PROBS, ids=_entry_id)
+    def test_bad_probability_names_the_entry(self, tmp_path, bad):
+        path = tmp_path / "p.json"
+        path.write_text(_policy_text(**bad))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value).startswith(
+            f"policy file {path} entry 0: '{next(iter(bad))}' must hold numbers only, got ")
 
 
 class TestCommands:

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sgplan import (DegenerateGame, MatrixGame, SelectionFailure, TimeDependentPolicy,
-                    best_response_dp, finite_vi, nash_certificate, nash_select,
-                    policy_value, random_game, security_select)
+from sgplan import (DegenerateGame, EnumerationCapExceeded, MatrixGame, SelectionFailure,
+                    TimeDependentPolicy, best_response_dp, finite_vi, infinite_vi,
+                    nash_certificate, nash_select, policy_value, random_game, security_select)
+from sgplan import matrix_games
 from sgplan.finite_planner import select_level
 
 from conftest import game_as_dict, policy_as_fn
@@ -203,7 +204,103 @@ class TestNashCertificate:
         assert g1 >= -1e-10 and g2 >= -1e-10
 
 
+def per_game(selection):
+    """The selection without its array form: select_level takes the per-game path."""
+    return lambda game: selection(game)
+
+
+def same_bits(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+# pinned in test_matrix_games: only the vertex-pair fallback finds an equilibrium
+DEGENERATE = ([[0, 1, -1], [2, -3, -2], [-3, 2, -1]], [[0, 3, 2], [0, 2, 1], [2, -1, 1]])
+# rock-paper-scissors has no pure equilibrium, and its first size-2 indifference
+# system [[0, -1, -1], [1, 0, -1], [1, 1, 0]] is exactly singular
+RPS = np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=float)
+
+
 class TestSelectLevel:
+    @pytest.mark.parametrize("selection", [nash_select, security_select])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_array_form_matches_per_game_path(self, selection, shape, rounded):
+        q1, q2 = np.random.default_rng(sum(shape) + rounded).uniform(-2, 2, (2, 60) + shape)
+        if rounded:
+            q1, q2 = np.round(q1), np.round(q2)
+        want = select_level(per_game(selection), q1, q2, range(60), 1)
+        assert same_bits(select_level(selection, q1, q2, range(60), 1), want)
+
+    @staticmethod
+    def fallback_level():
+        """Six 3x3 pairs: the degenerate game at 1, rock-paper-scissors at 4."""
+        q1, q2 = np.random.default_rng(3).uniform(-1, 1, (2, 6, 3, 3))
+        q1[1], q2[1] = DEGENERATE
+        q1[4], q2[4] = RPS, -RPS
+        return q1, q2
+
+    @pytest.mark.parametrize("selection", [nash_select, security_select])
+    def test_array_form_matches_on_fallback_and_singular_games(self, selection):
+        q1, q2 = self.fallback_level()
+        want = select_level(per_game(selection), q1, q2, range(6), 0)
+        assert same_bits(select_level(selection, q1, q2, range(6), 0), want)
+
+    def test_kernel_leaves_only_the_fallback_game(self):
+        q1, q2 = self.fallback_level()
+        assert np.linalg.det([[0, -1, -1], [1, 0, -1], [1, 1, 0]]) == 0.0
+        out = np.empty((6, 3)), np.empty((6, 3)), np.empty(6), np.empty(6)
+        assert matrix_games._nash_stack(q1, q2, *out).tolist() == [1]
+
+    @pytest.mark.parametrize("selection", [nash_select, security_select])
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_array_form_matches_on_narrow_levels(self, selection, width):
+        q1, q2 = np.random.default_rng(width).uniform(-1, 1, (2, width, 2, 3))
+        got = select_level(selection, q1, q2, range(width), 0)
+        assert [a.shape for a in got] == [(width, 2), (width, 3), (width,), (width,)]
+        assert same_bits(got, select_level(per_game(selection), q1, q2, range(width), 0))
+
+    def test_finite_vi_array_form_matches_per_game_path(self):
+        for seed in range(3):
+            game = random_game(6, 3, 3, 3, 1.0, seed=seed)
+            got, want = finite_vi(game, 4).table, finite_vi(game, 4, per_game(nash_select)).table
+            assert same_bits((got.q1, got.q2, got.rows, got.cols, got.values1, got.values2),
+                             (want.q1, want.q2, want.rows, want.cols, want.values1, want.values2))
+
+    def test_infinite_vi_array_form_matches_per_game_path(self):
+        game = random_game(5, 3, 2, 2, 1.0, seed=4)
+        got = infinite_vi(game, 0.8, tol=1e-6)
+        want = infinite_vi(game, 0.8, per_game(security_select), tol=1e-6)
+        assert got.deltas == want.deltas
+        assert same_bits((got.policy1.strategies, got.policy2.strategies, got.values1, got.values2),
+                         (want.policy1.strategies, want.policy2.strategies, want.values1,
+                          want.values2))
+
+    @pytest.mark.parametrize("selection", [nash_select, per_game(nash_select)])
+    def test_cap_fails_at_the_first_pair(self, selection):
+        q = np.zeros((3, 9, 9))
+        with pytest.raises(SelectionFailure, match=r"state=4, t=2") as info:
+            select_level(selection, q, q, [4, 5, 6], 2)
+        assert isinstance(info.value.cause, EnumerationCapExceeded)
+
+    @pytest.mark.parametrize("selection", [nash_select, security_select,
+                                           per_game(nash_select), per_game(security_select)])
+    def test_non_finite_pair_raises_as_matrix_game_does(self, selection):
+        q1, q2 = np.zeros((2, 4, 2, 2))
+        q1[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="^payoff matrices must be finite$"):
+            select_level(selection, q1, q2, range(4), 0)
+
+    @pytest.mark.parametrize("selection", [nash_select, per_game(nash_select)])
+    def test_first_failing_pair_is_named(self, selection, monkeypatch):
+        # without the vertex fallback, the degenerate games fail selection
+        monkeypatch.setattr(matrix_games, "_vertex_pairs", lambda m1, m2: iter(()))
+        q1, q2 = np.random.default_rng(5).uniform(-1, 1, (2, 5, 3, 3))
+        for k in (2, 4):
+            q1[k], q2[k] = DEGENERATE
+        with pytest.raises(SelectionFailure, match=r"state=12, t=3") as info:
+            select_level(selection, q1, q2, [10, 11, 12, 13, 14], 3)
+        assert isinstance(info.value.cause, DegenerateGame)
+
     @pytest.mark.parametrize("selection", [nash_select, security_select])
     def test_arrays_are_the_stacked_per_pair_selections(self, selection):
         q1, q2 = np.random.default_rng(11).uniform(-1, 1, (2, 8, 3, 3))

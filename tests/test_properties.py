@@ -7,6 +7,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sgplan import (DegenerateGame, MatrixGame, MixedStrategy, StrategyProfile,
                     best_response, enumerate_nash, epsilon_nash_gap,
                     expected_payoff, nash_select, security_level, solve_zero_sum)
+from sgplan.matrix_games import (ENUMERATION_CAP, _candidates, _equilibria, _nash_stack,
+                                 _scale, _support_pairs)
 
 
 def _matrix(draw, n1, n2):
@@ -160,3 +162,40 @@ def test_every_game_yields_at_least_one_equilibrium(game):
         g1, g2 = epsilon_nash_gap(game, p)
         assert max(g1, g2) <= 1e-8 * max(1.0, np.abs(game.payoff1).max(),
                                          np.abs(game.payoff2).max())
+
+
+@st.composite
+def game_stack(draw, max_n=4, max_games=6):
+    """(m1, m2) stacks of up to max_games games of one shape, integer-valued
+    (often degenerate) or not."""
+    n1 = draw(st.integers(1, max_n))
+    n2 = draw(st.integers(1, max_n))
+    games = draw(st.integers(1, max_games))
+    entries = draw(st.sampled_from([st.integers(-3, 3).map(float),
+                                    st.floats(-10, 10, allow_nan=False, width=64)]))
+    flat = draw(st.lists(entries, min_size=2 * games * n1 * n2, max_size=2 * games * n1 * n2))
+    m1, m2 = np.array(flat).reshape(2, games, n1, n2)
+    return m1, m2
+
+
+@settings(max_examples=150, deadline=None)
+@given(game_stack())
+def test_batched_kernel_selects_what_enumeration_yields_first(stack):
+    m1, m2 = stack
+    k, n1, n2 = m1.shape
+    out = np.empty((k, n1)), np.empty((k, n2)), np.empty(k), np.empty(k)
+    left = _nash_stack(m1, m2, *out).tolist()
+    for g in range(k):
+        try:
+            want = next(_equilibria(m1[g], m2[g], ENUMERATION_CAP))
+        except DegenerateGame:
+            assert g in left
+            continue
+        if g in left:  # no support pair accepts it: the first one is a vertex pair
+            assert all(_candidates(m1[g:g + 1], m2[g:g + 1], s1, s2,
+                                   np.array([_scale(m1[g], m2[g])])) is None
+                       for s1, s2 in _support_pairs(n1, n2))
+            continue
+        got = out[0][g], out[1][g], out[2][g], out[3][g]
+        assert [np.asarray(x, float).tobytes() for x in got] == \
+            [np.asarray(x, float).tobytes() for x in want]
