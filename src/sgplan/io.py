@@ -235,8 +235,13 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
             s, t = key if extra else want
             problem = "is repeated or out of range" if extra else "is missing"
             raise GameFileError(f"{path}: policy entry (state={s}, t={t}) {problem}")
-    return tuple(TimeDependentPolicy(horizon, rows[0].size, dict(zip(keys, rows)))
-                 for rows in halves)
+    policies = []
+    for half, rows in zip(("row_probs", "col_probs"), halves):
+        try:
+            policies.append(TimeDependentPolicy(horizon, rows[0].size, dict(zip(keys, rows))))
+        except ValueError as exc:  # not probability vectors, or not all of one length
+            raise GameFileError(f"policy file {path}: '{half}': {exc}") from exc
+    return tuple(policies)
 
 
 def _format_cell(value) -> str:

@@ -14,9 +14,10 @@ in blocks: a block's children are derived and sampled at once in array
 operations, backed up by the recursion one time step lower, and averaged --
 by numpy's (pairwise) mean over the m leaves at tt = 1, by a left-to-right
 sum divided by m above it.  The stage payoffs plus these means are the
-nodes' backup matrices.  A block has at most about _LEAF_BLOCK children at
-every level, so no level is ever held whole, and each distinct leaf
-state's stage game is selected once per planning call.
+nodes' backup matrices.  A block has at most about _LEAF_BLOCK = 16384
+children at every level, so no level is ever held whole, and each distinct
+leaf state's stage game is selected once per planning call.  Distinct
+states are read off a table when the game is no larger than the block.
 
 All randomness is derived, never streamed: each branch (i, j, l) of a node
 gets its own 64-bit seed from a fixed SplitMix64-style mixing of
@@ -55,8 +56,9 @@ _INDEPENDENT_TAG = 0x494E444550  # retag for the independent-copy probe mode
 
 SEED_RULE = "splitmix64-v1"
 #: at every level, the children expanded at once number about this many
-#: (at least one node's worth), so no level's seeds are ever all held
-_LEAF_BLOCK = 4096
+#: (at least one node's worth), so no level's seeds are ever all held; no
+#: bit depends on it, and 65536 costs about 7% more peak memory
+_LEAF_BLOCK = 16384
 
 
 def _mix64(z: int) -> int:
@@ -142,6 +144,14 @@ class SparsePlanResult:
                    nodes_expanded)
 
 
+def _distinct(states: np.ndarray, game: StochasticGame | None) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(states, return_inverse=True), by a table when the game has no more states."""
+    if game is None or game.n_states > states.size:
+        return np.unique(states, return_inverse=True)
+    present = np.bincount(states, minlength=game.n_states) > 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[states]
+
+
 def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: int,
             m: int) -> tuple[np.ndarray, np.ndarray]:
     """Children of every node of one level (time remaining tt): their
@@ -153,8 +163,9 @@ def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: i
     child_seeds = _derive_children(branch, m)
     us = _uniforms(child_seeds)
     children = np.empty(child_seeds.shape, dtype=np.int64)
-    for s in np.unique(states):
-        rows = np.flatnonzero(states == s)
+    uniq, inverse = _distinct(states, getattr(model, "game", None))
+    for k, s in enumerate(uniq):
+        rows = np.flatnonzero(inverse == k)
         for i in range(n1):
             for j in range(n2):
                 drawn = model.sample_from_uniform_many(int(s), i, j, us[rows, i, j].ravel())
@@ -204,8 +215,8 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         """The level tuple (q1, q2, rows, cols, values1, values2) of the
         nodes (states, seeds) at time remaining tt, one entry per node; at
         tt = 0 only the values are per node, the rest per distinct state."""
+        uniq, inverse = _distinct(states, explicit_game)
         if tt == 0:
-            uniq, inverse = np.unique(states, return_inverse=True)
             new = [s for s in uniq.tolist() if s not in stage_cache]
             stages = [model.payoffs(s) for s in new]
             q1 = np.reshape([g.payoff1 for g in stages], (-1, n1, n2))
@@ -223,7 +234,6 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
                     means[k, block] = v.mean(axis=-1)
                 else:  # the child values summed left to right from 0.0
                     means[k, block] = sum(v[..., ell] for ell in range(m)) / m
-        uniq, inverse = np.unique(states, return_inverse=True)
         stages = [model.payoffs(s) for s in uniq.tolist()]
         q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
         q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]

@@ -152,8 +152,9 @@ class TestPolicyFiles:
     def test_nan_probability_rejected(self, tmp_path):
         path = tmp_path / "p.json"
         self.write_entries(path, 1, [(0, 0)], row_probs=(float("nan"), 1.0))
-        with pytest.raises(ValueError, match="not a probability vector"):
+        with pytest.raises(ValueError, match="not a probability vector") as info:
             load_policy_pair(path)
+        assert str(info.value).startswith(f"policy file {path}: 'row_probs': ")
 
     @pytest.mark.parametrize("load, text, kind, key", [
         (load_policy_pair, '{"entries": []}', "policy", "horizon"),

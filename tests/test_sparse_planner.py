@@ -10,8 +10,8 @@ from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
                     single_state_game, sparse_game, as_generative)
 from sgplan import sparse_planner
 from sgplan.game_model import GenerativeModel
-from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _exact_levels,
-                                  _uniforms)
+from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _distinct,
+                                  _exact_levels, _uniforms)
 
 from conftest import STANDARD_FIXTURE_SEED
 
@@ -117,6 +117,20 @@ class PayoffsAndSamplerOnly(GenerativeModel):
 
     def sample_from_uniform(self, state, i, j, u):
         return self._inner.sample_from_uniform(state, i, j, u)
+
+
+class SparseIds(PayoffsAndSamplerOnly):
+    """Generic model whose state ids are large and sparse: 10**12 + 7 s."""
+
+    @staticmethod
+    def id(state):
+        return 10 ** 12 + 7 * state
+
+    def payoffs(self, state):
+        return super().payoffs((state - self.id(0)) // 7)
+
+    def sample_from_uniform(self, state, i, j, u):
+        return self.id(super().sample_from_uniform((state - self.id(0)) // 7, i, j, u))
 
 
 def counting(selection):
@@ -314,6 +328,21 @@ class TestBitContract:
         for model, result in zip(models, want):
             assert_same_bits(sparse_game(model, 0, 3, 5, seed=3), result)
 
+    def test_blocks_that_split_a_level_do_not_change_bits(self, three_state_game, monkeypatch):
+        model = as_generative(three_state_game)
+        want = recursive_reference(model, 0, 2, 64, 3)
+        expand = sparse_planner._expand
+        for leaf_block, nodes in ((1, 1), (4096, 16), (16384, 64)):
+            sizes = []
+
+            def recording(model, states, *rest):
+                sizes.append(states.size)
+                return expand(model, states, *rest)
+            monkeypatch.setattr(sparse_planner, "_expand", recording)
+            monkeypatch.setattr(sparse_planner, "_LEAF_BLOCK", leaf_block)
+            assert_same_bits(sparse_game(model, 0, 2, 64, seed=3), want)
+            assert sizes == [1] + [nodes] * (256 // nodes)  # the root, then tt = 1 in blocks
+
     def test_every_level_expands_in_blocks(self, three_state_game, monkeypatch):
         model = as_generative(three_state_game)
         want = sparse_game(model, 0, 3, 2, seed=3)
@@ -328,6 +357,53 @@ class TestBitContract:
         assert_same_bits(sparse_game(model, 0, 3, 2, seed=3), want)
         assert max(sizes) == 4
         assert sum(sizes) == 1 + 8 + 64  # every node above the leaves, once
+
+
+class TestDistinctStates:
+    """A block's distinct states by table (a game no larger than the block)
+    or by np.unique (a generic model, or a larger game) give the same bits."""
+
+    def test_matches_unique_on_both_branches(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        game = random_game(50, 2, 2, 3, 1.0, seed=3)
+        dense = [rng.integers(low, 50, size=size) for size in (1, 20, 49, 50, 51, 700)
+                 for low in (0, 30)]
+        cases = [(states, g) for states in dense for g in (None, game)]
+        cases += [(SparseIds.id(states), None) for states in dense]
+        unique, sorts = np.unique, []
+
+        def recording(*args, **kwargs):
+            sorts.append(args)
+            return unique(*args, **kwargs)
+        monkeypatch.setattr(np, "unique", recording)
+        for states, g in cases:
+            sorts.clear()
+            uniq, inverse = unique(states, return_inverse=True)
+            got_uniq, got_inverse = _distinct(states, g)
+            assert np.array_equal(got_uniq, uniq) and got_uniq.dtype == uniq.dtype
+            assert np.array_equal(got_inverse, inverse) and got_inverse.dtype == inverse.dtype
+            assert bool(sorts) == (g is None or states.size < 50)  # else the table answers
+
+    def test_table_skips_unreached_states(self):
+        game = unreached_state_game()
+        model = as_generative(game)
+        select, calls = counting(nash_select)
+        for t, m in ((1, 16), (2, 4), (3, 2)):
+            calls.clear()
+            assert_same_bits(sparse_game(model, 1, t, m, seed=5, selection=select),
+                             recursive_reference(model, 1, t, m, 5))
+            stages = [s for g in calls for s in range(game.n_states)
+                      if np.array_equal(g.payoff1, game.payoffs1[s])
+                      and np.array_equal(g.payoff2, game.payoffs2[s])]
+            inner = sum((game.n_row_actions * game.n_col_actions * m) ** k for k in range(t))
+            assert len(calls) == len(stages) + inner  # every other call backs up a node
+            assert len(set(stages)) == len(stages) and 0 not in stages
+
+    def test_generic_model_with_large_sparse_ids(self, three_state_game):
+        model = SparseIds(three_state_game)
+        for t, m in ((0, 3), (1, 9), (2, 3), (3, 2)):
+            assert_same_bits(sparse_game(model, SparseIds.id(2), t, m, seed=13),
+                             recursive_reference(model, SparseIds.id(2), t, m, 13))
 
 
 class TestExactOracle:
