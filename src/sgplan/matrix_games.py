@@ -26,8 +26,11 @@ selects a whole (K, n1, n2) stack of games with the same output bits.
 form, `_nash_stack`, walks the canonical order once, testing at each
 support pair only the games no earlier pair settled; a game that no pair
 settles is left to `nash_select` itself and so to the vertex fallback.  The
-security form makes the two maximin calls per game with no MatrixGame or
-StrategyProfile in between.
+security form, `_security_stack`, solves a level's maximin LPs with one
+lockstep simplex call (`simplex.maximin_stack`), both players in one call
+when their matrices have one shape, and checks every duality gap at once;
+a game the stack flags or that fails the check takes the per-game
+`_maximin`, and so its re-solve by enumeration.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import DegenerateGame, DimensionMismatch, EnumerationCapExceeded, SgError
-from .simplex import maximin, onto_one_two
+from .simplex import maximin, maximin_stack, onto_one_two
 
 # Enumeration applies SUPPORT_TOL and VERIFY_TOL times the payoff scale
 # max(1, max|payoff1|, max|payoff2|) of the game at hand.
@@ -273,15 +276,37 @@ def _security_stack(m1, m2, rows, cols, values1, values2) -> list[int]:
     """Array form of `security_select` over a stack of games (K, n1, n2) with
     finite payoffs: the selection of game k goes to rows[k], cols[k],
     values1[k] and values2[k].  Returns the games whose maximin raised, left
-    to `security_select` itself."""
-    rest = []
-    for k in range(len(m1)):
-        try:
-            rows[k], _, values1[k] = _maximin(m1[k])
-            cols[k], _, values2[k] = _maximin(m2[k].T)
-        except SgError:
-            rest.append(k)
-    return rest
+    to `security_select` itself.
+
+    One `maximin_stack` call solves a player's whole stack, or both players'
+    when payoff1 and transpose(payoff2) have one shape.  The values and
+    duality checks are stacked matrix products over m1 and the transposed
+    view of m2, so each game's product runs on a matrix of the shape and
+    strides `_maximin` is given (m1[k], m2[k].T) and keeps its bits; on a
+    contiguous copy of the transpose they would move.  A game the stack
+    flags, or that fails the check, takes `_maximin` itself.
+    """
+    m2t = m2.transpose(0, 2, 1)
+    if m1.shape == m2t.shape:
+        alpha, beta, ok = maximin_stack(np.concatenate([m1, m2t]))
+        n = len(m1)
+        solved = [(alpha[:n], beta[:n], ok[:n]), (alpha[n:], beta[n:], ok[n:])]
+    else:
+        solved = [maximin_stack(m1), maximin_stack(m2t)]
+    failed = set()
+    for mats, strategies, values, (alpha, beta, ok) in zip(
+            (m1, m2t), (rows, cols), (values1, values2), solved):
+        value = (alpha[:, None, :] @ mats)[:, 0, :].min(axis=1)
+        gap = (mats @ beta[:, :, None])[:, :, 0].max(axis=1) - value
+        scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)  # _scale of each game
+        good = ok & (gap <= _DUALITY_TOL * scale)
+        strategies[good], values[good] = alpha[good], value[good]
+        for k in np.flatnonzero(~good):
+            try:
+                strategies[k], _, values[k] = _maximin(mats[k])
+            except SgError:
+                failed.add(int(k))
+    return sorted(failed)
 
 
 security_select.array_form = _security_stack

@@ -21,7 +21,22 @@ Pivoting follows Bland's rule: the lowest-index column with a negative
 reduced cost enters, and ratio ties on the leaving row are broken by the
 lowest basis variable index.  This prevents cycling and makes the solver
 a pure function of the matrix entries.
+
+`maximin_stack` solves a stack of K games of one shape in lockstep, with
+the bits K `maximin` calls would give.  Each step pivots every open tableau
+of the stack at once: the entering column is the first negative reduced
+cost of each game, and the ratio test scans the rows in order, as the
+scalar loop does, vectorized across games, so its tie rule holds exactly.
+A pivot updates a row only where its factor is nonzero, through a masked
+subtract, as the scalar loop skips such rows: an unmasked x - 0.0 * piv
+would rewrite a -0.0 as +0.0, and a zero times a non-finite entry as NaN.
+Games that finish drop out of the pivots, and a game the scalar solver
+would raise on is flagged instead.  The stack form returns strategies
+only: a caller takes values and duality checks from matrix products that
+run on each game's own view, since those bits depend on memory layout.
 """
+
+import math
 
 import numpy as np
 
@@ -42,6 +57,7 @@ def maximin(matrix):
     Precondition: matrix is 2-D, non-empty and finite, as every payoff
     matrix of a `MatrixGame` is; it is not checked here.  A numerical
     failure (unbounded LP, no termination, empty strategy) raises SgError.
+    A payoff range that overflows float64 raises SgError too.
     """
     mat = np.asarray(matrix, dtype=float)
     y, duals = _solve_packing(onto_one_two(mat))
@@ -53,9 +69,40 @@ def maximin(matrix):
 
 
 def onto_one_two(mat):
-    """mat mapped affinely onto [1, 2]; a constant matrix maps to all ones."""
+    """mat mapped affinely onto [1, 2]; a constant matrix maps to all ones.
+
+    Raises SgError when the range of mat overflows float64.
+    """
     low = mat.min()
-    return (mat - low) / ((mat.max() - low) or 1.0) + 1.0
+    span = float(mat.max()) - float(low)  # a Python float: inf, not a warning, on overflow
+    if span == math.inf:
+        raise SgError(f"payoff range {float(low)!r} .. {float(mat.max())!r} overflows float64")
+    return (mat - low) / (span or 1.0) + 1.0
+
+
+def maximin_stack(mats):
+    """Strategies of `maximin` for each game of a stack mats (K, n1, n2).
+
+    Returns (alpha (K, n1), beta (K, n2), ok (K,)).  Where ok[k] holds,
+    alpha[k] and beta[k] are bit for bit those of maximin(mats[k]); where it
+    does not, maximin would raise (a range that overflows float64, an
+    unbounded LP, no termination or an empty strategy) and both rows are
+    zeros, so products with them stay finite.
+    """
+    low = mats.min(axis=(1, 2))
+    with np.errstate(over="ignore"):
+        span = mats.max(axis=(1, 2)) - low
+    ok = np.isfinite(span)
+    if not ok.all():  # a finite placeholder: those games map to all ones
+        mats = np.where(ok[:, None, None], mats, low[:, None, None])
+        span = np.where(ok, span, 0.0)
+    span = np.where(span == 0.0, 1.0, span)
+    y, duals, solved = _solve_packing_stack((mats - low[:, None, None]) / span[:, None, None] + 1.0)
+    beta, has_beta = _clean_rows(y)
+    alpha, has_alpha = _clean_rows(duals)
+    ok &= solved & has_beta & has_alpha
+    alpha[~ok], beta[~ok] = 0.0, 0.0
+    return alpha, beta, ok
 
 
 def _solve_packing(a):
@@ -109,6 +156,69 @@ def _solve_packing(a):
     return y, duals
 
 
+def _solve_packing_stack(a):
+    """`_solve_packing` of each matrix of a stack a (K, n1, n2), all entries
+    in [1, 2], pivoted in lockstep.
+
+    Returns (y (K, n2), duals (K, n1), ok (K,)): ok[k] is False where the
+    scalar solver raises (no leaving row, or no termination), and y[k] and
+    duals[k] then mean nothing.
+    """
+    k, n1, n2 = a.shape
+    games = np.arange(k)
+    tableau = np.zeros((k, n1 + 1, n2 + n1 + 1))
+    tableau[:, :n1, :n2] = a
+    tableau[:, np.arange(n1), np.arange(n2, n2 + n1)] = 1.0
+    tableau[:, :n1, -1] = 1.0
+    tableau[:, n1, :n2] = -1.0
+    basis = np.tile(np.arange(n2, n2 + n1), (k, 1))
+    ok = np.ones(k, dtype=bool)
+    pivoting = np.ones(k, dtype=bool)  # not yet optimal, not failed
+
+    for _ in range(50 * (n1 + n2) + 200):  # the scalar solver's cap
+        negative = tableau[:, n1, :-1] < -_TOL
+        pivoting &= negative.any(axis=1)
+        if not pivoting.any():
+            break
+        entering = negative.argmax(axis=1)
+        col = tableau[games, :n1, entering]
+        usable = pivoting[:, None] & (col > _TOL)
+        ratios = tableau[:, :n1, -1] / np.where(usable, col, 1.0)
+        usable &= ratios < np.inf  # the scalar scan never takes an infinite ratio
+        ratios = np.where(usable, ratios, 0.0)  # finite, so no step meets inf - inf
+        # the scalar scan over the rows, each game's best starting at its first usable row
+        seen, best, best_var = usable[:, 0], ratios[:, 0], basis[:, 0]
+        leaving = np.zeros(k, dtype=int)
+        for r in range(1, n1):
+            ratio, var = ratios[:, r], basis[:, r]
+            take = usable[:, r] & (~seen | (ratio < best - _TOL)
+                                   | ((np.abs(ratio - best) <= _TOL) & (var < best_var)))
+            best, best_var = np.where(take, ratio, best), np.where(take, var, best_var)
+            leaving = np.where(take, r, leaving)
+            seen = seen | take
+        ok &= seen | ~pivoting  # no leaving row: unbounded
+        pivoting &= seen
+
+        # rows of games that do not pivot are divided by 1.0 and left alone
+        piv = tableau[games, leaving] / np.where(pivoting, tableau[games, leaving, entering],
+                                                 1.0)[:, None]
+        tableau[games, leaving] = piv
+        factors = tableau[games, :, entering]
+        factors[games, leaving] = 0.0
+        factors[~pivoting] = 0.0
+        factors = factors[:, :, None]
+        np.subtract(tableau, factors * piv[:, None, :], out=tableau, where=factors != 0.0)
+        basis[games, leaving] = np.where(pivoting, entering, basis[games, leaving])
+    else:
+        ok &= ~pivoting
+
+    y = np.zeros((k, n2))
+    g, r = np.nonzero(basis < n2)
+    y[g, basis[g, r]] = tableau[g, r, -1]
+    duals = tableau[:, n1, n2:n2 + n1].copy()
+    return y, duals, ok
+
+
 def _pivot(tableau, row, col):
     tableau[row] /= tableau[row, col]
     piv = tableau[row]
@@ -124,3 +234,12 @@ def _clean_distribution(x):
     if total <= 0.0:
         raise SgError("maximin LP produced an empty strategy")
     return x / total
+
+
+def _clean_rows(x):
+    """`_clean_distribution` of each row of x (K, n): (rows, ok), ok False
+    where the scalar form raises for an empty strategy."""
+    x = np.where(x > _TOL * x.sum(axis=1, keepdims=True), x, 0.0)
+    total = x.sum(axis=1, keepdims=True)
+    ok = ~(total[:, 0] <= 0.0)
+    return x / np.where(ok[:, None], total, 1.0), ok

@@ -10,6 +10,7 @@ from sgplan import matrix_games
 from sgplan.finite_planner import select_level
 
 from conftest import game_as_dict, policy_as_fn
+from test_matrix_games import TestBitContract as BitContract
 from oracles import (brute_force_best_response, eval_policy_recursive,
                      scalar_zero_sum_dp)
 
@@ -222,7 +223,8 @@ RPS = np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=float)
 
 class TestSelectLevel:
     @pytest.mark.parametrize("selection", [nash_select, security_select])
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (1, 3), (3, 1),
+                                       (5, 3)])
     @pytest.mark.parametrize("rounded", [False, True])
     def test_array_form_matches_per_game_path(self, selection, shape, rounded):
         q1, q2 = np.random.default_rng(sum(shape) + rounded).uniform(-2, 2, (2, 60) + shape)
@@ -239,11 +241,30 @@ class TestSelectLevel:
         q1[4], q2[4] = RPS, -RPS
         return q1, q2
 
+    @staticmethod
+    def near_singular_level():
+        """The fallback level with the 3x3 near-singular zero-sum games of the
+        bimatrix bit contract, as both players' matrices, in its middle."""
+        q1, q2 = TestSelectLevel.fallback_level()
+        near = [np.array(m, dtype=float) for m in BitContract.NEAR_SINGULAR]
+        near = [m for m in near if m.shape == (3, 3)]
+        near += [-m.T for m in near]
+        return (np.concatenate([q1[:3], near, q1[3:]]),
+                np.concatenate([q2[:3], [-m for m in near], q2[3:]]))
+
     @pytest.mark.parametrize("selection", [nash_select, security_select])
-    def test_array_form_matches_on_fallback_and_singular_games(self, selection):
-        q1, q2 = self.fallback_level()
-        want = select_level(per_game(selection), q1, q2, range(6), 0)
-        assert same_bits(select_level(selection, q1, q2, range(6), 0), want)
+    def test_array_form_matches_on_fallback_and_singular_games(self, selection, monkeypatch):
+        q1, q2 = self.fallback_level() if selection is nash_select else self.near_singular_level()
+        n = len(q1)
+        want = select_level(per_game(selection), q1, q2, range(n), 0)
+        resolved = []
+        maximin = matrix_games._maximin
+        monkeypatch.setattr(matrix_games, "_maximin",
+                            lambda mat: resolved.append(mat.tolist()) or maximin(mat))
+        assert same_bits(select_level(selection, q1, q2, range(n), 0), want)
+        if selection is security_select:
+            # the duality check sends near-singular games, mid-stack, to the re-solve
+            assert resolved and all(m in q1[3:n - 3].tolist() for m in resolved)
 
     def test_kernel_leaves_only_the_fallback_game(self):
         q1, q2 = self.fallback_level()
@@ -267,13 +288,20 @@ class TestSelectLevel:
                              (want.q1, want.q2, want.rows, want.cols, want.values1, want.values2))
 
     def test_infinite_vi_array_form_matches_per_game_path(self):
-        game = random_game(5, 3, 2, 2, 1.0, seed=4)
-        got = infinite_vi(game, 0.8, tol=1e-6)
-        want = infinite_vi(game, 0.8, per_game(security_select), tol=1e-6)
-        assert got.deltas == want.deltas
-        assert same_bits((got.policy1.strategies, got.policy2.strategies, got.values1, got.values2),
-                         (want.policy1.strategies, want.policy2.strategies, want.values1,
-                          want.values2))
+        # the discounted-security shapes: a 3x3 zero-sum game, whose two players
+        # share one stacked solve, and a 2x3 general-sum game, which takes two
+        for game, gamma, tol in ((random_game(5, 3, 2, 2, 1.0, seed=4), 0.8, 1e-6),
+                                 (random_game(12, 3, 3, 3, 1.0, seed=8, zero_sum=True), 0.9, 1e-9),
+                                 (random_game(12, 2, 3, 3, 1.0, seed=9), 0.9, 1e-9)):
+            got = infinite_vi(game, gamma, tol=tol)
+            want = infinite_vi(game, gamma, per_game(security_select), tol=tol)
+            assert got.converged and want.converged
+            assert (got.deltas, got.value_trace, got.iterations) == (
+                want.deltas, want.value_trace, want.iterations)
+            assert same_bits((got.policy1.strategies, got.policy2.strategies, got.values1,
+                              got.values2),
+                             (want.policy1.strategies, want.policy2.strategies, want.values1,
+                              want.values2))
 
     @pytest.mark.parametrize("selection", [nash_select, per_game(nash_select)])
     def test_cap_fails_at_the_first_pair(self, selection):

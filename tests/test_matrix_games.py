@@ -1,11 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sgplan import (DimensionMismatch, EnumerationCapExceeded, MatrixGame,
-                    MixedStrategy, StrategyProfile, best_response,
+                    MixedStrategy, SgError, StrategyProfile, best_response,
                     enumerate_nash, epsilon_nash_gap, expected_payoff,
                     nash_select, security_level, security_select,
                     solve_zero_sum)
+from sgplan import simplex
+from sgplan.finite_planner import select_level
+from sgplan.simplex import maximin, maximin_stack, onto_one_two
 
 from oracles import enumerate_nash_exact, lp_zero_sum_value, nash_gap_exact
 
@@ -200,6 +205,96 @@ class TestSecurityLevel:
             strat2, level2 = security_level(game, 2)
             guarantees2 = game.payoff2 @ strat2.probs
             assert guarantees2.min() >= level2 - 1e-9
+
+    @pytest.mark.parametrize("mat", [[[1e308, -1e308]], [[1e308], [-1e308]],
+                                     [[1.7e308, -1.7e308], [0.0, 1.0]]],
+                             ids=["row", "column", "2x2"])
+    def test_overflowing_payoff_range(self, mat):
+        # every entry is finite, but max - min is not: the simplex is skipped
+        # for the re-solve by enumeration, with no numpy warning on any path
+        mat = np.array(mat)
+        game = MatrixGame.zero_sum(mat)
+        other = np.random.default_rng(0).uniform(-1, 1, mat.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SgError, match="overflows float64"):
+                maximin(mat)
+            assert not maximin_stack(np.stack([other, mat]))[2].tolist()[1]
+            (strat1, level1), (strat2, level2) = security_level(game, 1), security_level(game, 2)
+            prof = solve_zero_sum(mat)
+            rows, cols, values1, values2 = select_level(
+                security_select, np.stack([other, mat, other]), np.stack([-other, -mat, -other]),
+                range(3), 0)
+        assert strat1.probs.tobytes() == prof.row.probs.tobytes() == rows[1].tobytes()
+        assert level1 == prof.value1 == values1[1]
+        assert (strat2.probs.tobytes(), level2) == (cols[1].tobytes(), values2[1])
+        assert level1 == max(mat.min(axis=1))  # a pure maximin row exists in these
+
+
+class TestMaximinStack:
+    """The lockstep simplex against the scalar one, bit for bit."""
+
+    SHAPES = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (8, 8)]
+
+    @staticmethod
+    def stacks(shape, seed):
+        """Stacks of 24 games: uniform, rounded to 0.1 (ties), and uniform with
+        every third game constant (the `or 1.0` branch, one pivot), so games
+        of a stack finish after different numbers of pivots."""
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            yield rng.uniform(-2, 2, (24,) + shape)
+            yield np.round(rng.uniform(-1, 1, (24,) + shape), 1)
+            mixed = rng.uniform(-2, 2, (24,) + shape)
+            mixed[::3] = rng.uniform(-2, 2, 8)[:, None, None]
+            yield mixed
+
+    @staticmethod
+    def assert_matches_scalar(mats):
+        alpha, beta, ok = maximin_stack(mats)
+        y, duals, solved = simplex._solve_packing_stack(np.stack([onto_one_two(m) for m in mats]))
+        for k, mat in enumerate(mats):
+            try:
+                want_y, want_duals = simplex._solve_packing(onto_one_two(mat))
+            except SgError:
+                assert not solved[k]
+            else:
+                assert solved[k]
+                assert (y[k].tobytes(), duals[k].tobytes()) == (want_y.tobytes(),
+                                                                want_duals.tobytes())
+            try:
+                want_alpha, want_beta, _ = maximin(mat)
+            except SgError:
+                assert not ok[k]
+                continue
+            assert ok[k]
+            assert (alpha[k].tobytes(), beta[k].tobytes()) == (want_alpha.tobytes(),
+                                                               want_beta.tobytes())
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_stack_matches_scalar_solver(self, shape, monkeypatch):
+        pivots = []
+        pivot = simplex._pivot
+        monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+        for seed, mats in enumerate(self.stacks(shape, sum(shape))):
+            per_game = []
+            for mat in mats:
+                pivots.clear()
+                simplex._solve_packing(onto_one_two(mat))
+                per_game.append(len(pivots))
+            if min(shape) > 1 and seed % 3 == 2:
+                assert len(set(per_game)) > 1
+            self.assert_matches_scalar(mats)
+
+    def test_near_singular_games_flagged_or_identical(self):
+        # the matrices the scalar path re-solves by enumeration, mid-stack
+        rng = np.random.default_rng(7)
+        for mat in TestBitContract.NEAR_SINGULAR:
+            mat = np.array(mat, dtype=float)
+            for m in (mat, -mat.T):
+                mats = rng.uniform(-1, 1, (9,) + m.shape)
+                mats[4] = m
+                self.assert_matches_scalar(mats)
 
 
 class TestEnumerateNash:
