@@ -56,7 +56,7 @@ class InfiniteVIResult:
     iterations: int
 
 
-def _check_settings(gamma: float, tol: float, max_iter: int = 0) -> None:
+def _check_settings(gamma: float, tol: float = 0.0, max_iter: int = 0) -> None:
     if not 0.0 <= gamma < 1.0:
         raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
     if not tol >= 0.0:
@@ -123,12 +123,13 @@ def contraction_check(deltas, gamma: float) -> ContractionReport:
     """Verify delta_{t+1} <= gamma * delta_t + 1e-9 along a delta trace.
 
     Meaningful for zero-sum runs, where the backup operator is a
-    gamma-contraction of the value table.
+    gamma-contraction of the value table.  A NaN delta counts as a violation.
     """
+    _check_settings(gamma)
     out = []
     for t in range(len(deltas) - 1):
         bound = gamma * deltas[t] + 1e-9
-        if deltas[t + 1] > bound:
+        if not deltas[t + 1] <= bound:
             out.append(ContractionViolation(t + 1, float(deltas[t]),
                                             float(deltas[t + 1]), float(bound)))
     return ContractionReport(tuple(out))

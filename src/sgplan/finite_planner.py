@@ -17,8 +17,8 @@ values are undiscounted payoff sums; everything reported externally
 (policy values, certificate gaps) is a per-stage average, i.e. sum / H.
 
 `select_level` is the one place a selection function meets backup games and
-its profiles become arrays: `backup_sweeps` here, and the sampler and exact
-oracle of `sparse_planner`, hand it one level of backup pairs at a time.
+its profiles become arrays: `backup_sweeps` here, the one kernel of every
+exact table, and the sparse sampler hand it one level of pairs at a time.
 `nash_select` and `security_select` select a whole level through their array
 forms (see `matrix_games`), with the bits the per-game path gives; any other
 selection function, a wrapper around one of those two included, takes the
@@ -111,17 +111,19 @@ def select_level(selection: SelectionFunction, q1, q2, states, t: int):
     return rows, cols, values1, values2
 
 
-def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction):
+def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
+                  expect=np.matmul):
     """Yield sweeps t = 0, 1, ... as (q1, q2, rows, cols, values1, values2) in
     state order, each only when asked for: sweep 0 selects in the stage games,
-    sweep t in Q_k = M_k + gamma * (P @ v_k) of sweep t-1's values v_k."""
+    sweep t in Q_k = M_k + gamma * expect(P, v_k) of sweep t-1's values v_k.
+    `expect` sums each expectation; its order of summation sets the last bits."""
     q1, q2 = game.payoffs1, game.payoffs2
     for t in count():
         rows, cols, v1, v2 = select_level(selection, q1, q2, range(game.n_states), t)
         yield q1, q2, rows, cols, v1, v2
-        # gamma * (P @ v), not P @ (gamma * v): the output bits depend on it
-        q1 = game.payoffs1 + gamma * (game.transitions @ v1)
-        q2 = game.payoffs2 + gamma * (game.transitions @ v2)
+        # gamma * expect(P, v), not expect(P, gamma * v): the output bits depend on it
+        q1 = game.payoffs1 + gamma * expect(game.transitions, v1)
+        q2 = game.payoffs2 + gamma * expect(game.transitions, v2)
 
 
 def _check_horizon(horizon: int) -> None:

@@ -113,6 +113,8 @@ def validate(game: StochasticGame) -> ValidationReport:
     for s, i, j in zip(*np.nonzero(bad)):
         out.append(Violation("transition-sum", (int(s), int(i), int(j)),
                              f"probabilities sum to {sums[s, i, j]!r}, not 1"))
+    if not 0.0 <= game.r_max < np.inf:  # false for NaN
+        out.append(Violation("r-max", (), f"r_max={game.r_max} is not a finite number >= 0"))
     for player, pay in ((1, game.payoffs1), (2, game.payoffs2)):
         for s, i, j in zip(*np.nonzero(~np.isfinite(pay))):
             out.append(Violation("payoff-finite", (player, int(s), int(i), int(j)),

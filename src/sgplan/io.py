@@ -186,12 +186,13 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
                      path) -> None:
     """Write a complete table, as `load_policy_pair` requires; before the
     file is opened, halves of different (states, horizon) raise
-    DimensionMismatch and a gap raises MissingPolicyEntry."""
+    DimensionMismatch, and a gap or an empty table (no states or horizon 0)
+    raises MissingPolicyEntry."""
     shape = policy1.strategies.shape[:2]
     if policy2.strategies.shape[:2] != shape:
         raise DimensionMismatch(f"policy halves differ in (states, horizon): "
                                 f"{shape} vs {policy2.strategies.shape[:2]}")
-    if not shape[0]:
+    if not all(shape):
         raise MissingPolicyEntry("policy has no entries")
     rows, cols = policy1.dense(*shape), policy2.dense(*shape)
     entries = [{"state": s, "t": t, "row_probs": rows[s, t].tolist(),

@@ -133,6 +133,8 @@ class MatrixGame:
         if not (np.all(np.isfinite(p1)) and np.all(np.isfinite(p2))):
             raise ValueError("payoff matrices must be finite")
         if self.r_max is not None:
+            if not 0.0 <= self.r_max < np.inf:  # false for NaN
+                raise ValueError(f"r_max must be a finite number >= 0, got {self.r_max}")
             bound = max(np.abs(p1).max(), np.abs(p2).max())
             if bound > self.r_max:
                 raise ValueError(f"payoff magnitude {bound} exceeds declared r_max={self.r_max}")

@@ -27,11 +27,13 @@ function of (model, state, t, m, seed) and invariant to the evaluation
 order of branches; both players' strategies come out of one shared run,
 which is what makes the induced policy pair a correlated near-equilibrium.
 
-The sampling-free oracle `exact_sparse_game` is level-synchronous: it
-marks the states reachable at each level top-down, then backs them up from
-tt = 0.  Each expectation sums p(s') * value(s') over successors in
-ascending state order from 0.0, as a depth-first recursion would; `T @ v`
-sums in another order and changes the last bits of most nodes.
+The sampling-free oracle `exact_sparse_game` is the finite planner's
+`backup_sweeps` read at one root.  Each expectation sums p(s') * value(s')
+over successors in ascending state order from 0.0 (`_in_state_order`), as
+a depth-first recursion would; `T @ v` sums in another order and changes
+the last bits of most nodes.  The successors such a recursion never visits
+have p(s') = 0.0 and add +-0.0 to a sum from +0.0, so backing up every
+state changes no bit at the reachable ones.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import _check_horizon, _tabulate, nash_certificate, select_level
+from .finite_planner import (_check_horizon, _tabulate, backup_sweeps, nash_certificate,
+                             select_level)
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import (MixedStrategy, SelectionFunction, StrategyProfile, _by_player,
                            _check_index, nash_select)
@@ -243,41 +247,28 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
                                       np.array([spec.root_seed], dtype=np.uint64), t), nodes)
 
 
-def _exact_levels(game: StochasticGame, reach: np.ndarray, selection: SelectionFunction):
-    """Exact backups of the marked nodes, tt = 0 first, each expectation a
-    sequential sum from 0.0 (not `T @ v`, see above).  reach[tt] marks the
-    states backed up at time remaining tt and must mark every successor of
-    those marked at tt + 1; marking more states leaves the bits of the others
-    alone, as their extra terms have p(s') = 0.0 and add +-0.0 to a sum from
-    +0.0.  Returns one (q1, q2, rows, cols, values1, values2) per level, each
-    in the order of its marked states."""
-    levels = []
-    for tt, mask in enumerate(reach):
-        states = np.flatnonzero(mask)
-        q1, q2 = game.payoffs1[states], game.payoffs2[states]
-        if tt > 0:
-            succ = game.transitions[states][..., below]
-            zero = np.zeros(succ.shape[:-1] + (1,))
-            q1 = q1 + np.cumsum(np.concatenate([zero, succ * v1], axis=-1), axis=-1)[..., -1]
-            q2 = q2 + np.cumsum(np.concatenate([zero, succ * v2], axis=-1), axis=-1)[..., -1]
-        levels.append((q1, q2) + select_level(selection, q1, q2, states, tt))
-        v1, v2 = levels[-1][4:]
-        below = states
-    return levels
+def _in_state_order(transitions: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_s' P(s'|s, i, j) * v[s'] for every (s, i, j), each sum taken over
+    s' in ascending order from 0.0, as a depth-first recursion takes it."""
+    zero = np.zeros(transitions.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, transitions * v], axis=-1), axis=-1)[..., -1]
 
 
 def exact_sparse_game(game: StochasticGame, state: int, t: int,
                       selection: SelectionFunction = nash_select) -> SparsePlanResult:
-    """Exact-expectation oracle for `sparse_game` on an explicit game; it
-    backs up only the (state, t) nodes reachable from the root, and
-    nodes_expanded counts them."""
+    """Exact-expectation oracle for `sparse_game` on an explicit game: row
+    `state` of sweep t of the exact backup, each expectation summed in state
+    order.  It selects at every state of each level up to t, so a selection
+    that fails at a state the root cannot reach raises SelectionFailure too;
+    nodes_expanded counts only the (state, t) nodes reachable from the root."""
     _check_time_remaining(t)
     state = game.state(state)
-    reach = np.zeros((t + 1, game.n_states), dtype=bool)
-    reach[t, state] = True
-    for tt in range(t, 0, -1):
-        reach[tt - 1] = game.transitions[reach[tt]].any(axis=(0, 1, 2))
-    return SparsePlanResult.of(_exact_levels(game, reach, selection)[-1], int(reach.sum()))
+    reach, nodes = np.arange(game.n_states) == state, 1
+    for _ in range(t):
+        reach = game.transitions[reach].any(axis=(0, 1, 2))
+        nodes += int(reach.sum())
+    level = next(islice(backup_sweeps(game, 1.0, selection, _in_state_order), t, None))
+    return SparsePlanResult.of([a[state:state + 1] for a in level], nodes)
 
 
 def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
@@ -380,8 +371,8 @@ def gap_experiment(game: StochasticGame, horizon: int,
     _check_horizon(horizon)
     start = game.state(start)
     model = as_generative(game)
-    oracle = _tabulate(game, horizon, _exact_levels(
-        game, np.ones((horizon, game.n_states), dtype=bool), selection))
+    oracle = _tabulate(game, horizon,
+                       islice(backup_sweeps(game, 1.0, selection, _in_state_order), horizon))
     exact_root = [oracle.table.value(k, start, horizon - 1) for k in (1, 2)]
     states = range(game.n_states)
     exact_gaps = None

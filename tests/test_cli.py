@@ -134,11 +134,15 @@ class TestPolicyFiles:
 
     def test_save_refuses_a_gap(self, tmp_path):
         model = as_generative(random_game(3, 2, 2, 2, 1.0, seed=7))
-        pol1, pol2 = induced_policy(model, 2, 2, 0).materialize([0, 2])
+        cases = [(induced_policy(model, 2, 2, 0).materialize([0, 2]), r"\(state=1, t=0\)")]
+        for n_states, horizon in ((0, 2), (3, 0)):  # an empty table: all gap
+            half = TimeDependentPolicy(horizon, 2, np.full((n_states, horizon, 2), 0.5))
+            cases.append(((half, half), "policy has no entries"))
         path = tmp_path / "p.json"
-        with pytest.raises(MissingPolicyEntry, match=r"\(state=1, t=0\)"):
-            save_policy_pair(pol1, pol2, path)
-        assert not path.exists()
+        for (pol1, pol2), message in cases:
+            with pytest.raises(MissingPolicyEntry, match=message):
+                save_policy_pair(pol1, pol2, path)
+            assert not path.exists()
 
     @pytest.mark.parametrize("horizons, n_states", [((2, 3), (3, 3)), ((2, 2), (3, 2))])
     def test_save_refuses_mismatched_halves(self, tmp_path, horizons, n_states):

@@ -125,10 +125,17 @@ class TestContraction:
         assert report.ok
 
     def test_violations_reported(self):
-        report = contraction_check([1.0, 0.9, 0.2], gamma=0.5)
-        assert not report.ok
-        assert report.violations[0].t == 1
-        assert report.violations[0].next_delta == 0.9
+        for deltas in ([1.0, 0.9, 0.2], [1.0, float("nan"), 5.0]):
+            report = contraction_check(deltas, gamma=0.5)
+            assert not report.ok
+            assert report.violations[0].t == 1
+            assert np.array_equal([report.violations[0].next_delta], [deltas[1]],
+                                  equal_nan=True)
+
+    def test_gamma_validated(self):
+        for gamma in (float("nan"), 1.0, -0.1):
+            with pytest.raises(ValueError, match=r"discount factor must lie in \[0, 1\)"):
+                contraction_check([1.0, 5.0, 9.0], gamma)
 
     def test_iterations_within_log_bound(self):
         # runtime grows no faster than log(tol*(1-gamma)/r_max)/log(gamma) + 5

@@ -35,6 +35,11 @@ class TestValidation:
         report = validate(game)
         assert [v.kind for v in report.violations] == ["payoff-bound"]
         assert report.violations[0].where == (1, 0, 1, 0)
+        for r_max in (float("nan"), float("inf"), -1.0):
+            report = validate(StochasticGame(100 * payoffs, np.zeros((1, 2, 2)), trans,
+                                             r_max=r_max))
+            assert [v.kind for v in report.violations].count("r-max") == 1
+            assert report.violations[0].message == f"r_max={r_max} is not a finite number >= 0"
 
     def test_random_games_always_validate(self):
         for seed in range(10):

@@ -46,6 +46,9 @@ class TestTypes:
     def test_r_max_bound_enforced(self):
         with pytest.raises(ValueError):
             MatrixGame([[1.5]], [[0.0]], r_max=1.0)
+        for r_max in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="r_max must be a finite number >= 0"):
+                MatrixGame([[0.5]], [[0.0]], r_max=r_max)
 
     def test_rectangular_games_supported(self):
         game = MatrixGame([[1, 2, 3], [0, 1, 0]], [[0, 0, 0], [1, 1, 1]])

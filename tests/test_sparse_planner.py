@@ -10,8 +10,9 @@ from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
                     single_state_game, sparse_game, as_generative)
 from sgplan import sparse_planner
 from sgplan.game_model import GenerativeModel
+from sgplan.finite_planner import backup_sweeps
 from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _distinct,
-                                  _exact_levels, _uniforms)
+                                  _in_state_order, _uniforms)
 
 from conftest import STANDARD_FIXTURE_SEED
 
@@ -192,7 +193,8 @@ class TestSparseGame:
         model = as_generative(repeated_pd)
         exact = exact_sparse_game(repeated_pd, 0, 2)
         for m in (1, 2, 3, 5):
-            got = sparse_game(model, 0, 2, m, seed=9 + m)
+            with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
+                got = sparse_game(model, 0, 2, m, seed=9 + m)
             assert got.q_hats[0] == pytest.approx(exact.q_hats[0], abs=1e-10)
             assert got.q_hats[1] == pytest.approx(exact.q_hats[1], abs=1e-10)
             np.testing.assert_allclose(got.q_matrices[0], exact.q_matrices[0], atol=1e-10)
@@ -455,8 +457,8 @@ class TestExactBitContract:
     def test_full_table_matches_reach_restricted_oracle(self, name):
         # gap_experiment reads its root errors from the table over every state
         game = self.GAMES[name]()
-        levels = _exact_levels(game, np.ones((4, game.n_states), dtype=bool), nash_select)
-        for t, (q1, q2, rows, cols, v1, v2) in enumerate(levels):
+        levels = backup_sweeps(game, 1.0, nash_select, _in_state_order)
+        for t, (q1, q2, rows, cols, v1, v2) in zip(range(4), levels):
             for s in range(game.n_states):
                 want = exact_sparse_game(game, s, t)
                 assert np.array_equal(q1[s], want.q_matrices[0])
@@ -498,6 +500,18 @@ class TestExactBitContract:
         with pytest.raises(SelectionFailure, match=r"t=0: boom"):
             exact_sparse_game(three_state_game, 2, 2, selection=refuse)
 
+    def test_selection_failure_at_unreached_state(self):
+        # the oracle backs up every state, so the one no transition enters fails too
+        game = unreached_state_game()
+
+        def refuse_state_0(stage):
+            if np.array_equal(stage.payoff1, game.payoffs1[0]):
+                raise DegenerateGame("boom")
+            return nash_select(stage)
+        ExactReference(game, refuse_state_0).plan(1, 1)  # the recursion never meets state 0
+        with pytest.raises(SelectionFailure, match=r"state=0, t=0: boom"):
+            exact_sparse_game(game, 1, 1, selection=refuse_state_0)
+
 
 class TestSampleSize:
     def test_frozen_example(self):
@@ -534,7 +548,8 @@ class TestInducedPolicy:
         model = as_generative(repeated_pd)
         want = finite_vi(repeated_pd, 3)
         pair = induced_policy(model, 2, 3, root_seed=5)
-        pol1, pol2 = pair.materialize(range(1))
+        with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
+            pol1, pol2 = pair.materialize(range(1))
         for t in range(3):
             np.testing.assert_allclose(pol1.probs(0, t), want.policy1.probs(0, t),
                                        atol=1e-9)
@@ -554,7 +569,8 @@ class TestInducedPolicy:
 
 class TestGapExperiment:
     def test_deterministic_game_all_gaps_tiny(self, repeated_pd):
-        rows = gap_experiment(repeated_pd, 3, [1, 2, 4], seeds=range(3))
+        with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
+            rows = gap_experiment(repeated_pd, 3, [1, 2, 4], seeds=range(3))
         assert len(rows) == 9
         for row in rows:
             assert max(row.gap1, row.gap2) <= 1e-8
