@@ -3,7 +3,11 @@
 Game files are dense on payoffs and sparse on transitions (zero-probability
 entries omitted).  Floats are serialized with Python's shortest round-trip
 decimal repr, so save -> load reproduces every entry exactly and reruns are
-byte-identical.  Every write replaces its file whole or leaves it as it was.
+byte-identical.  A JSON file holds exactly the bytes of
+`json.dumps(doc, indent=2) + "\n"`; the layout is rebuilt from the C
+encoder's compact output, which is valid because no string in these files
+holds a bracket, brace or comma.  Every write replaces its file whole or
+leaves it as it was.
 """
 
 from __future__ import annotations
@@ -28,12 +32,12 @@ FINITE_TRACE_HEADER = ("t", "state", "value1", "value2")
 
 
 @contextlib.contextmanager
-def _atomic_open(path, **kwargs):
-    """A text file whose contents replace `path` when the block exits normally;
+def _atomic_open(path, mode="w", **kwargs):
+    """A file whose contents replace `path` when the block exits normally;
     on an exception it is removed.  Plain `open` keeps the umask's mode."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", **kwargs)
+        fh = open(tmp, mode, **kwargs)
     except OSError as exc:
         exc.filename = os.fspath(path)  # report the file asked for, not the temporary
         raise
@@ -46,10 +50,63 @@ def _atomic_open(path, **kwargs):
         raise
 
 
+#: compact bytes re-indented per `_write_chunk` call; its index arrays take
+#: 8 bytes per byte, so the chunk, not the document, bounds their memory
+#: (about 0.5 MB at 16 KiB)
+_CHUNK = 1 << 14
+_MARK = np.zeros(256, bool)
+_MARK[list(b"[]{},")] = True
+#: depth step of a structural byte: +1 opens, -1 closes, 0 for a comma
+_STEP = np.zeros(256, np.intp)
+_STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
+#: _STEP of an opener or closer; 2, which no -step equals, for every other byte
+_BRACKET = np.where(_STEP != 0, _STEP, 2)
+
+
 def _write_json(doc: dict, path) -> None:
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Write `json.dumps(doc, indent=2) + "\n"` byte for byte, encoded by the
+    C encoder (the standard library encodes in Python whenever `indent` is
+    set).  The compact text is re-indented in chunks of `_CHUNK` bytes.
+
+    Precondition: no string in `doc` holds `[`, `]`, `{`, `}` or `,`, so
+    every such byte of the compact text is structural.  The files written
+    here hold only fixed keys as strings.
+    """
+    text = np.frombuffer(json.dumps(doc, separators=(",", ": ")).encode(), np.uint8)
+    with _atomic_open(path, "wb") as fh:
+        depth = 0
+        for lo in range(0, text.size, _CHUNK):
+            depth = _write_chunk(fh, text, lo, min(lo + _CHUNK, text.size), depth)
+        fh.write(b"\n")
+
+
+def _write_chunk(fh, text: np.ndarray, lo: int, hi: int, depth: int) -> int:
+    """Write `text[lo:hi]` in the `indent=2` layout, `depth` being the
+    nesting depth at `lo`; returns the depth at `hi`.
+
+    A newline and two spaces per level of the depth after the byte go after
+    each opener and comma and before each closer, except inside an empty
+    `[]` or `{}`.  Bytes on either side of the chunk are read to find those.
+    """
+    chunk = text[lo:hi]
+    at = np.flatnonzero(_MARK[chunk])
+    step = _STEP[chunk[at]]
+    levels = np.cumsum(step)
+    levels += depth
+    close = step < 0
+    where = at + ~close  # the newline's place: after an opener or comma, before a closer
+    # the byte past an opener, the byte before a closer; side by side they are `[]` or `{}`
+    keep = _BRACKET[text[where + (lo - close)]] != -step
+    where, sizes = where[keep], 2 * levels[keep] + 1
+    ends = np.cumsum(sizes)
+    out = np.full(chunk.size + sizes.sum(), ord(" "), np.uint8)
+    out[where + ends - sizes] = ord("\n")
+    shift = np.zeros(chunk.size + 1, np.intp)
+    shift[where] = sizes
+    np.cumsum(shift, out=shift)
+    out[np.arange(chunk.size) + shift[:-1]] = chunk
+    fh.write(out)
+    return depth + int(step.sum())
 
 
 def read_json_object(path) -> dict:
@@ -66,8 +123,16 @@ def read_json_object(path) -> dict:
 
 
 def save_game(game: StochasticGame, path) -> None:
-    transitions = [[[[{"to": int(s2), "p": float(pvec[s2])} for s2 in np.nonzero(pvec)[0]]
-                     for pvec in row] for row in per_state] for per_state in game.transitions]
+    n2, n12 = game.n_col_actions, game.n_row_actions * game.n_col_actions
+    n_rows = game.n_states * n12  # one row per (state, i, j)
+    s, i, j, to = np.nonzero(game.transitions)  # in row order, successors ascending
+    cuts = np.searchsorted(np.ravel_multi_index((s, i, j), game.transitions.shape[:3]),
+                           np.arange(n_rows + 1)).tolist()
+    entries = [{"to": t, "p": p} for t, p in zip(to.tolist(),
+                                                 game.transitions[s, i, j, to].tolist())]
+    rows = [entries[a:b] for a, b in zip(cuts, cuts[1:])]
+    transitions = [[rows[k:k + n2] for k in range(m, m + n12, n2)]
+                   for m in range(0, n_rows, n12)]
     doc = {
         "version": GAME_FILE_VERSION,
         "n_states": game.n_states,

@@ -201,11 +201,14 @@ class TestAtomicWrites:
 
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, game_file, monkeypatch):
         before = game_file.read_bytes()
+        write_chunk = sgio._write_chunk
 
-        def partial_dump(doc, fh, **kwargs):
-            fh.write('{"version": 1,')
+        def partial_chunk(fh, text, lo, hi, depth):
+            write_chunk(fh, text, lo, (lo + hi) // 2, depth)  # half the chunk reaches the file
+            fh.flush()
+            assert os.path.getsize(fh.name) > 0
             raise OSError("no space left on device")
-        monkeypatch.setattr(sgio.json, "dump", partial_dump)
+        monkeypatch.setattr(sgio, "_write_chunk", partial_chunk)
         with pytest.raises(OSError, match="no space"):
             save_game(random_game(2, 2, 2, 1, 1.0, seed=3), game_file)
         assert game_file.read_bytes() == before

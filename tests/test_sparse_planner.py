@@ -454,13 +454,14 @@ class TestExactBitContract:
                 assert_same_bits(exact_sparse_game(game, s, t), ExactReference(game).plan(s, t))
 
     @pytest.mark.parametrize("name", GAMES)
-    def test_full_table_matches_reach_restricted_oracle(self, name):
+    def test_full_table_matches_exact_reference(self, name):
         # gap_experiment reads its root errors from the table over every state
         game = self.GAMES[name]()
+        ref = ExactReference(game)
         levels = backup_sweeps(game, 1.0, nash_select, _in_state_order)
         for t, (q1, q2, rows, cols, v1, v2) in zip(range(4), levels):
             for s in range(game.n_states):
-                want = exact_sparse_game(game, s, t)
+                want = ref.plan(s, t)
                 assert np.array_equal(q1[s], want.q_matrices[0])
                 assert np.array_equal(q2[s], want.q_matrices[1])
                 assert np.array_equal(rows[s], want.profile.row.probs)
