@@ -218,7 +218,10 @@ class _DensePolicy:
         self.strategies = strategies
 
     def probs(self, *key) -> np.ndarray:
-        """The strategy stored at `key`; raises MissingPolicyEntry if none."""
+        """The strategy stored at `key`; raises MissingPolicyEntry if none,
+        and DimensionMismatch for a key of the wrong length."""
+        if len(key) != self.strategies.ndim - 1:
+            raise DimensionMismatch(f"policy key {key} must be {self._key}")
         if (all(0 <= k < n for k, n in zip(key, self.strategies.shape))
                 and not np.isnan(self.strategies[key]).all()):
             return self.strategies[key]
@@ -246,6 +249,7 @@ class TimeDependentPolicy(_DensePolicy):
     or a dict {(s, t): probs}, converted here with one state past the
     largest key and all-NaN rows where no key is given."""
 
+    _key = "(state, t)"
     _missing = "no strategy stored for (state={}, t={})"
 
     def __init__(self, horizon: int, n_actions: int, table):
@@ -274,6 +278,7 @@ class StationaryPolicy(_DensePolicy):
     """One player's map state -> mixed strategy (time-independent), from
     an (n_states, n_actions) array."""
 
+    _key = "(state)"
     _missing = "no strategy stored for state {}"
 
     def __init__(self, strategies):

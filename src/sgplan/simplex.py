@@ -22,18 +22,18 @@ reduced cost enters, and ratio ties on the leaving row are broken by the
 lowest basis variable index.  This prevents cycling and makes the solver
 a pure function of the matrix entries.
 
-`maximin_stack` solves a stack of K games of one shape in lockstep, with
-the bits K `maximin` calls would give.  Each step pivots every open tableau
-of the stack at once: the entering column is the first negative reduced
-cost of each game, and the ratio test scans the rows in order, as the
-scalar loop does, vectorized across games, so its tie rule holds exactly.
-A pivot updates a row only where its factor is nonzero, through a masked
-subtract, as the scalar loop skips such rows: an unmasked x - 0.0 * piv
-would rewrite a -0.0 as +0.0, and a zero times a non-finite entry as NaN.
-Games that finish drop out of the pivots, and a game the scalar solver
-would raise on is flagged instead.  The stack form returns strategies
+There is one pivot loop, `_solve_packing_stack`, and it solves a stack of
+K games of one shape in lockstep: each step pivots every open tableau of
+the stack at once, and the ratio test scans the rows in order, vectorized
+across games, so the tie rule holds in each game as if it were alone.  A
+pivot updates a row only where its factor is nonzero, through a masked
+subtract: an unmasked x - 0.0 * piv would rewrite a -0.0 as +0.0, and a
+zero times a non-finite entry as NaN.  Games that finish drop out of the
+pivots, and a game whose LP fails (unbounded, or no termination within the
+pivot cap) is flagged.  `maximin_stack` returns the strategies of a stack
 only: a caller takes values and duality checks from matrix products that
 run on each game's own view, since those bits depend on memory layout.
+`maximin` is the stack of one, with its value taken on the matrix itself.
 """
 
 import math
@@ -55,17 +55,16 @@ def maximin(matrix):
     payoff alpha guarantees (min over columns of alpha @ matrix).
 
     Precondition: matrix is 2-D, non-empty and finite, as every payoff
-    matrix of a `MatrixGame` is; it is not checked here.  A numerical
-    failure (unbounded LP, no termination, empty strategy) raises SgError.
-    A payoff range that overflows float64 raises SgError too.
+    matrix of a `MatrixGame` is; it is not checked here.  A payoff range
+    that overflows float64 raises SgError, and so does a numerical failure
+    (unbounded LP, no termination, empty strategy).
     """
     mat = np.asarray(matrix, dtype=float)
-    y, duals = _solve_packing(onto_one_two(mat))
-
-    beta = _clean_distribution(y)
-    alpha = _clean_distribution(duals)
-    value = float((alpha @ mat).min())
-    return alpha, beta, value
+    alpha, beta, ok = maximin_stack(mat[None])
+    if not ok[0]:
+        onto_one_two(mat)  # raises for a range that overflows float64
+        raise SgError("maximin LP failed: unbounded, no termination or an empty strategy")
+    return alpha[0], beta[0], float((alpha[0] @ mat).min())
 
 
 def onto_one_two(mat):
@@ -81,13 +80,14 @@ def onto_one_two(mat):
 
 
 def maximin_stack(mats):
-    """Strategies of `maximin` for each game of a stack mats (K, n1, n2).
+    """Maximin strategies of each game of a stack mats (K, n1, n2).
 
     Returns (alpha (K, n1), beta (K, n2), ok (K,)).  Where ok[k] holds,
-    alpha[k] and beta[k] are bit for bit those of maximin(mats[k]); where it
-    does not, maximin would raise (a range that overflows float64, an
-    unbounded LP, no termination or an empty strategy) and both rows are
-    zeros, so products with them stay finite.
+    alpha[k] is the row player's security strategy of mats[k] and beta[k]
+    the column player's minimax response, the same bits in any stack; where
+    it does not (a range that overflows float64, an unbounded LP, no
+    termination or an empty strategy), both rows are zeros, so products
+    with them stay finite.
     """
     low = mats.min(axis=(1, 2))
     with np.errstate(over="ignore"):
@@ -105,64 +105,13 @@ def maximin_stack(mats):
     return alpha, beta, ok
 
 
-def _solve_packing(a):
-    """max sum(y) s.t. a y <= 1, y >= 0 for a with all entries in [1, 2].
-
-    Returns (y, duals).
-    """
-    n1, n2 = a.shape
-    # columns: y_0..y_{n2-1}, slacks s_0..s_{n1-1}, rhs
-    tableau = np.zeros((n1 + 1, n2 + n1 + 1))
-    tableau[:n1, :n2] = a
-    tableau[:n1, n2:n2 + n1] = np.eye(n1)
-    tableau[:n1, -1] = 1.0
-    tableau[n1, :n2] = -1.0
-    basis = list(range(n2, n2 + n1))
-
-    max_pivots = 50 * (n1 + n2) + 200  # Bland's rule terminates well before this
-    for _ in range(max_pivots):
-        obj = tableau[n1, :-1]
-        entering = -1
-        for j in range(n2 + n1):
-            if obj[j] < -_TOL:
-                entering = j
-                break
-        if entering < 0:
-            break
-        col = tableau[:n1, entering]
-        rhs = tableau[:n1, -1]
-        leaving = -1
-        best_ratio = np.inf
-        for r in range(n1):
-            if col[r] > _TOL:
-                ratio = rhs[r] / col[r]
-                if ratio < best_ratio - _TOL or (
-                        abs(ratio - best_ratio) <= _TOL
-                        and (leaving < 0 or basis[r] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = r
-        if leaving < 0:
-            raise SgError("maximin LP unbounded; input matrix is malformed")
-        _pivot(tableau, leaving, entering)
-        basis[leaving] = entering
-    else:
-        raise SgError("maximin simplex failed to terminate")
-
-    y = np.zeros(n2)
-    for r, var in enumerate(basis):
-        if var < n2:
-            y[var] = tableau[r, -1]
-    duals = tableau[n1, n2:n2 + n1].copy()
-    return y, duals
-
-
 def _solve_packing_stack(a):
-    """`_solve_packing` of each matrix of a stack a (K, n1, n2), all entries
-    in [1, 2], pivoted in lockstep.
+    """max sum(y) s.t. a y <= 1, y >= 0 for each matrix of a stack a
+    (K, n1, n2), all entries in [1, 2], pivoted in lockstep.
 
-    Returns (y (K, n2), duals (K, n1), ok (K,)): ok[k] is False where the
-    scalar solver raises (no leaving row, or no termination), and y[k] and
-    duals[k] then mean nothing.
+    Returns (y (K, n2), duals (K, n1), ok (K,)): ok[k] is False where game
+    k's LP has no leaving row (unbounded) or does not terminate within the
+    pivot cap, and y[k] and duals[k] then mean nothing.
     """
     k, n1, n2 = a.shape
     games = np.arange(k)
@@ -175,7 +124,7 @@ def _solve_packing_stack(a):
     ok = np.ones(k, dtype=bool)
     pivoting = np.ones(k, dtype=bool)  # not yet optimal, not failed
 
-    for _ in range(50 * (n1 + n2) + 200):  # the scalar solver's cap
+    for _ in range(50 * (n1 + n2) + 200):  # Bland's rule terminates well before this
         negative = tableau[:, n1, :-1] < -_TOL
         pivoting &= negative.any(axis=1)
         if not pivoting.any():
@@ -184,9 +133,10 @@ def _solve_packing_stack(a):
         col = tableau[games, :n1, entering]
         usable = pivoting[:, None] & (col > _TOL)
         ratios = tableau[:, :n1, -1] / np.where(usable, col, 1.0)
-        usable &= ratios < np.inf  # the scalar scan never takes an infinite ratio
+        usable &= ratios < np.inf  # an infinite ratio never leaves
         ratios = np.where(usable, ratios, 0.0)  # finite, so no step meets inf - inf
-        # the scalar scan over the rows, each game's best starting at its first usable row
+        # the ratio test scans the rows in order, each game's best starting at its
+        # first usable row; ties within _TOL go to the lower basis variable
         seen, best, best_var = usable[:, 0], ratios[:, 0], basis[:, 0]
         leaving = np.zeros(k, dtype=int)
         for r in range(1, n1):
@@ -219,26 +169,10 @@ def _solve_packing_stack(a):
     return y, duals, ok
 
 
-def _pivot(tableau, row, col):
-    tableau[row] /= tableau[row, col]
-    piv = tableau[row]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * piv
-
-
-def _clean_distribution(x):
-    # drop rounding residue: entries below _TOL relative to the total mass
-    x = np.where(x > _TOL * x.sum(), x, 0.0)
-    total = x.sum()
-    if total <= 0.0:
-        raise SgError("maximin LP produced an empty strategy")
-    return x / total
-
-
 def _clean_rows(x):
-    """`_clean_distribution` of each row of x (K, n): (rows, ok), ok False
-    where the scalar form raises for an empty strategy."""
+    """Each row of x (K, n) normalized after dropping rounding residue, the
+    entries below _TOL times the row's mass: (rows, ok), ok False where
+    nothing is left (an empty strategy)."""
     x = np.where(x > _TOL * x.sum(axis=1, keepdims=True), x, 0.0)
     total = x.sum(axis=1, keepdims=True)
     ok = ~(total[:, 0] <= 0.0)

@@ -39,6 +39,7 @@ state changes no bit at the reachable ones.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -114,7 +115,11 @@ class SeedSpec:
     rule: str = SEED_RULE
 
     def __post_init__(self):
-        object.__setattr__(self, "root_seed", self.root_seed & _MASK64)
+        try:  # a float or a string is never truncated or parsed
+            seed = operator.index(self.root_seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {self.root_seed!r}") from None
+        object.__setattr__(self, "root_seed", seed & _MASK64)
         if self.rule != SEED_RULE:
             raise ValueError(f"unknown seed derivation rule {self.rule!r}")
 
@@ -123,7 +128,7 @@ class SeedSpec:
 
     @classmethod
     def of(cls, seed) -> "SeedSpec":
-        return seed if isinstance(seed, SeedSpec) else cls(int(seed))
+        return seed if isinstance(seed, SeedSpec) else cls(seed)
 
 
 @dataclass(frozen=True)

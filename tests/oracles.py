@@ -6,6 +6,11 @@ enumeration, scipy's LP solver for game values, and plain recursive
 evaluation (dicts and Fractions/floats, no shared backup code) for policy
 values.  Keep it that way -- these functions are the reference the fast
 paths are checked against.
+
+The one exception is `scalar_maximin`: a pure-Python Bland-rule tableau,
+one pivot at a time, on the library's own affine map and tolerance.  The
+lockstep simplex (`simplex.maximin_stack`) promises its bits exactly, so
+the reference must run the same arithmetic, not an independent method.
 """
 
 from fractions import Fraction
@@ -13,6 +18,9 @@ from itertools import combinations, product
 
 import numpy as np
 from scipy.optimize import linprog
+
+from sgplan import SgError
+from sgplan.simplex import _TOL, onto_one_two
 
 UNDERDETERMINED = "underdetermined"
 
@@ -249,3 +257,79 @@ def scalar_zero_sum_dp(game, horizon):
                       for i in range(len(pay[s]))]
             values[t][s], _ = lp_zero_sum_value(backed)
     return values
+
+
+def scalar_maximin(mat):
+    """(alpha, beta, value) of the row player of mat, one tableau pivoted
+    row by row; raises SgError where the LP fails."""
+    y, duals = _solve_packing(onto_one_two(mat))
+    alpha, beta = _clean_distribution(duals), _clean_distribution(y)
+    return alpha, beta, float((alpha @ mat).min())
+
+
+def _solve_packing(a):
+    """max sum(y) s.t. a y <= 1, y >= 0 for a with all entries in [1, 2].
+
+    Returns (y, duals).
+    """
+    n1, n2 = a.shape
+    # columns: y_0..y_{n2-1}, slacks s_0..s_{n1-1}, rhs
+    tableau = np.zeros((n1 + 1, n2 + n1 + 1))
+    tableau[:n1, :n2] = a
+    tableau[:n1, n2:n2 + n1] = np.eye(n1)
+    tableau[:n1, -1] = 1.0
+    tableau[n1, :n2] = -1.0
+    basis = list(range(n2, n2 + n1))
+
+    max_pivots = 50 * (n1 + n2) + 200  # Bland's rule terminates well before this
+    for _ in range(max_pivots):
+        obj = tableau[n1, :-1]
+        entering = -1
+        for j in range(n2 + n1):
+            if obj[j] < -_TOL:
+                entering = j
+                break
+        if entering < 0:
+            break
+        col = tableau[:n1, entering]
+        rhs = tableau[:n1, -1]
+        leaving = -1
+        best_ratio = np.inf
+        for r in range(n1):
+            if col[r] > _TOL:
+                ratio = rhs[r] / col[r]
+                if ratio < best_ratio - _TOL or (
+                        abs(ratio - best_ratio) <= _TOL
+                        and (leaving < 0 or basis[r] < basis[leaving])):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving < 0:
+            raise SgError("maximin LP unbounded; input matrix is malformed")
+        _pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+    else:
+        raise SgError("maximin simplex failed to terminate")
+
+    y = np.zeros(n2)
+    for r, var in enumerate(basis):
+        if var < n2:
+            y[var] = tableau[r, -1]
+    duals = tableau[n1, n2:n2 + n1].copy()
+    return y, duals
+
+
+def _pivot(tableau, row, col):
+    tableau[row] /= tableau[row, col]
+    piv = tableau[row]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * piv
+
+
+def _clean_distribution(x):
+    # drop rounding residue: entries below _TOL relative to the total mass
+    x = np.where(x > _TOL * x.sum(), x, 0.0)
+    total = x.sum()
+    if total <= 0.0:
+        raise SgError("maximin LP produced an empty strategy")
+    return x / total

@@ -241,6 +241,18 @@ class TestPolicies:
         with pytest.raises(MissingPolicyEntry, match="state 1"):
             pol.dense(2)
 
+    def test_key_of_the_wrong_length_rejected(self):
+        timed = TimeDependentPolicy(2, 2, np.full((1, 2, 2), 0.5))
+        for key in [(), (0,), (0, 0, 1)]:
+            with pytest.raises(DimensionMismatch, match=r"must be \(state, t\)"):
+                timed.probs(*key)
+        stationary = StationaryPolicy([[0.5, 0.5]])
+        for key in [(), (0, 0)]:
+            with pytest.raises(DimensionMismatch, match=r"must be \(state\)"):
+                stationary.probs(*key)
+        np.testing.assert_array_equal(timed.probs(0, 1), [0.5, 0.5])
+        np.testing.assert_array_equal(stationary.probs(0), [0.5, 0.5])
+
     def test_missing_entry_message_is_plain(self):
         pol = TimeDependentPolicy(1, 2, {(0, 0): [1.0, 0.0]})
         with pytest.raises(MissingPolicyEntry) as info:

@@ -12,6 +12,7 @@ from sgplan import simplex
 from sgplan.finite_planner import select_level
 from sgplan.simplex import maximin, maximin_stack, onto_one_two
 
+import oracles
 from oracles import enumerate_nash_exact, lp_zero_sum_value, nash_gap_exact
 
 
@@ -235,7 +236,8 @@ class TestSecurityLevel:
 
 
 class TestMaximinStack:
-    """The lockstep simplex against the scalar one, bit for bit."""
+    """The lockstep simplex, and `maximin` as its stack of one, against the
+    scalar tableau loop of `oracles`, bit for bit."""
 
     SHAPES = [(1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (8, 8)]
 
@@ -258,7 +260,7 @@ class TestMaximinStack:
         y, duals, solved = simplex._solve_packing_stack(np.stack([onto_one_two(m) for m in mats]))
         for k, mat in enumerate(mats):
             try:
-                want_y, want_duals = simplex._solve_packing(onto_one_two(mat))
+                want_y, want_duals = oracles._solve_packing(onto_one_two(mat))
             except SgError:
                 assert not solved[k]
             else:
@@ -266,24 +268,29 @@ class TestMaximinStack:
                 assert (y[k].tobytes(), duals[k].tobytes()) == (want_y.tobytes(),
                                                                 want_duals.tobytes())
             try:
-                want_alpha, want_beta, _ = maximin(mat)
+                want = oracles.scalar_maximin(mat)
             except SgError:
                 assert not ok[k]
+                with pytest.raises(SgError):
+                    maximin(mat)
                 continue
             assert ok[k]
-            assert (alpha[k].tobytes(), beta[k].tobytes()) == (want_alpha.tobytes(),
-                                                               want_beta.tobytes())
+            assert (alpha[k].tobytes(), beta[k].tobytes()) == (want[0].tobytes(),
+                                                               want[1].tobytes())
+            got = maximin(mat)
+            assert (got[0].tobytes(), got[1].tobytes(), got[2]) == (want[0].tobytes(),
+                                                                    want[1].tobytes(), want[2])
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_stack_matches_scalar_solver(self, shape, monkeypatch):
         pivots = []
-        pivot = simplex._pivot
-        monkeypatch.setattr(simplex, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+        pivot = oracles._pivot
+        monkeypatch.setattr(oracles, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
         for seed, mats in enumerate(self.stacks(shape, sum(shape))):
             per_game = []
             for mat in mats:
                 pivots.clear()
-                simplex._solve_packing(onto_one_two(mat))
+                oracles._solve_packing(onto_one_two(mat))
                 per_game.append(len(pivots))
             if min(shape) > 1 and seed % 3 == 2:
                 assert len(set(per_game)) > 1

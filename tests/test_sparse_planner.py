@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -171,12 +172,26 @@ class TestSeedDerivation:
         assert us.max() < 1.0
         assert abs(us.mean() - 0.5) < 0.02
 
-    def test_seed_spec_wraps_and_validates(self):
+    def test_seed_spec_wraps_and_validates(self, three_state_game):
         assert SeedSpec.of(5).root_seed == 5
         assert SeedSpec.of(SeedSpec(5)).root_seed == 5
-        assert SeedSpec(-1).root_seed == (1 << 64) - 1
+        assert SeedSpec.of(np.int64(5)).root_seed == SeedSpec.of(np.uint8(5)).root_seed == 5
+        assert SeedSpec(-1).root_seed == SeedSpec(np.int64(-1)).root_seed == (1 << 64) - 1
         with pytest.raises(ValueError):
             SeedSpec(0, rule="other")
+        # a float or a string is never truncated or parsed
+        for seed in (1.2, 1.9, 2.5, "7", np.float64(1.0)):
+            message = f"seed must be an integer, got {seed!r}"
+            with pytest.raises(TypeError, match=re.escape(message)):
+                SeedSpec.of(seed)
+            with pytest.raises(TypeError, match=re.escape(message)):
+                SeedSpec(seed)
+        model = as_generative(three_state_game)
+        for seed in (1.2, 1.9):
+            with pytest.raises(TypeError, match=f"got {seed}"):
+                sparse_game(model, 0, 1, 4, seed)
+        with pytest.raises(TypeError, match="got 2.5"):
+            induced_policy(model, 2, 2, 2.5)
 
 
 class TestSparseGame:
