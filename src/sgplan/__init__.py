@@ -28,9 +28,8 @@ from .sparse_planner import (GapRow, InducedPolicyPair, SeedSpec,
                              SparsePlanResult, derive_seed, exact_sparse_game,
                              gap_experiment, induced_policy, sample_size,
                              sparse_game)
-from .discounted_planner import (ContractionReport, DiscountedIterate,
-                                 InfiniteVIResult, ProbeReport,
-                                 contraction_check, infinite_vi,
+from .discounted_planner import (ContractionReport, InfiniteVIResult,
+                                 ProbeReport, contraction_check, infinite_vi,
                                  nash_mode_probe, security_certificate)
 from .io import (load_game, load_policy_pair, save_game, save_policy_pair,
                  write_trace)

@@ -12,8 +12,8 @@ values are the game values).  Swapping in a Nash selection function gives
 no such guarantee; `nash_mode_probe` runs that variant and reports whether
 the value tables settle, cycle, or neither.
 
-Values here are discounted payoff sums (not per-stage averages); a sweep is
-a `DiscountedIterate` of the state-indexed arrays `backup_sweeps` yields.
+Values here are discounted payoff sums (not per-stage averages).  Sweeps
+stream: no run keeps a sweep's arrays once the next sweep is formed.
 """
 
 from __future__ import annotations
@@ -26,21 +26,6 @@ from .errors import SgError
 from .finite_planner import backup_sweeps
 from .game_model import StationaryPolicy, StochasticGame
 from .matrix_games import SelectionFunction, _by_player, security_select, nash_select
-
-
-@dataclass(frozen=True)
-class DiscountedIterate:
-    """Snapshot of one sweep: backup matrices, selected strategies, values,
-    and the sup-norm change from the previous sweep."""
-
-    t: int
-    q1: np.ndarray  # (n_states, n1, n2)
-    q2: np.ndarray
-    rows: np.ndarray  # (n_states, n1)
-    cols: np.ndarray  # (n_states, n2)
-    values1: np.ndarray
-    values2: np.ndarray
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -67,15 +52,19 @@ def _check_settings(gamma: float, tol: float = 0.0, max_iter: int = 0) -> None:
 
 def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,
             max_iter: int, tol: float):
-    """Yield sweeps 0..max_iter of the discounted backup.  Sweep 0 backs up
-    the stage games and has delta nan; sweep t backs up sweep t-1's values."""
+    """Yield (t, rows, cols, values1, values2, delta) for sweeps 0..max_iter of
+    the discounted backup, stopping after the first whose delta is <= tol.
+    Sweep 0 backs up the stage games and has delta nan; sweep t backs up
+    sweep t-1's values, and delta is the sup-norm change between the two."""
     _check_settings(gamma, tol, max_iter)
-    v1 = v2 = None
-    for t, level in zip(range(max_iter + 1), backup_sweeps(game, gamma, selection)):
+    for t, (_, _, rows, cols, values1, values2) in zip(range(max_iter + 1),
+                                                       backup_sweeps(game, gamma, selection)):
         delta = (float("nan") if t == 0 else
-                 float(max(np.abs(level[4] - v1).max(), np.abs(level[5] - v2).max())))
-        v1, v2 = level[4:]
-        yield DiscountedIterate(t, *level, delta)
+                 float(max(np.abs(values1 - v1).max(), np.abs(values2 - v2).max())))
+        v1, v2 = values1, values2
+        yield t, rows, cols, values1, values2, delta
+        if delta <= tol:
+            return
 
 
 def infinite_vi(game: StochasticGame, gamma: float,
@@ -88,18 +77,13 @@ def infinite_vi(game: StochasticGame, gamma: float,
     """
     deltas: list[float] = []
     value_trace: list[tuple[float, float]] = []
-    converged = False
     s0 = game.start_state
-    for it in _sweeps(game, gamma, selection, max_iter, tol):
-        if it.t:
-            deltas.append(it.delta)
-            value_trace.append((float(it.values1[s0]), float(it.values2[s0])))
-            if it.delta <= tol:
-                converged = True
-                break
-    return InfiniteVIResult(StationaryPolicy(it.rows), StationaryPolicy(it.cols),
-                            it.values1, it.values2, tuple(deltas), tuple(value_trace),
-                            converged, it.t)
+    for t, rows, cols, values1, values2, delta in _sweeps(game, gamma, selection, max_iter, tol):
+        if t:
+            deltas.append(delta)
+            value_trace.append((float(values1[s0]), float(values2[s0])))
+    return InfiniteVIResult(StationaryPolicy(rows), StationaryPolicy(cols), values1, values2,
+                            tuple(deltas), tuple(value_trace), delta <= tol, t)
 
 
 @dataclass(frozen=True)
@@ -188,14 +172,17 @@ def security_certificate(game: StochasticGame, policy1: StationaryPolicy,
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Trajectory of the Nash-selection variant.  classification is one of
-    "converged", "cyclic", "undetermined"; for cycles, cycle_start/
+    """What a run of the Nash-selection variant did.  classification is one
+    of "converged", "cyclic", "undetermined"; iterations is the last sweep
+    run, deltas the sup-norm change of sweeps 1..iterations, and values1/
+    values2 the value tables of the last sweep.  For cycles, cycle_start/
     cycle_length locate the first repeated value-table fingerprint."""
 
     classification: str
     iterations: int
     deltas: tuple[float, ...]
-    trajectory: tuple[DiscountedIterate, ...]
+    values1: np.ndarray
+    values2: np.ndarray
     cycle_start: int | None = None
     cycle_length: int | None = None
 
@@ -205,23 +192,22 @@ def nash_mode_probe(game: StochasticGame, gamma: float,
                     max_iter: int = 500, tol: float = 1e-9) -> ProbeReport:
     """Run the discounted sweep with a Nash selection function and watch
     the value tables.  No claim is made about which games oscillate; the
-    probe only classifies what this run did within max_iter sweeps."""
-    trajectory: list[DiscountedIterate] = []
+    probe only classifies what this run did within max_iter sweeps.  It
+    keeps one delta and one fingerprint per sweep, and no sweep's arrays."""
     deltas: list[float] = []
     fingerprints: dict[bytes, int] = {}
-    for it in _sweeps(game, gamma, selection, max_iter, tol):
-        trajectory.append(it)
-        if it.t:
-            deltas.append(it.delta)
-            if it.delta <= tol:
-                return ProbeReport("converged", it.t, tuple(deltas), tuple(trajectory))
-        fp = _fingerprint(it.values1, it.values2)
-        if fp in fingerprints:
+    for t, _, _, values1, values2, delta in _sweeps(game, gamma, selection, max_iter, tol):
+        if t:
+            deltas.append(delta)
+        # a settled sweep can round to the previous fingerprint: it is "converged"
+        fp = _fingerprint(values1, values2)
+        if not delta <= tol and fp in fingerprints:
             first = fingerprints[fp]
-            return ProbeReport("cyclic", it.t, tuple(deltas), tuple(trajectory),
-                               cycle_start=first, cycle_length=it.t - first)
-        fingerprints[fp] = it.t
-    return ProbeReport("undetermined", max_iter, tuple(deltas), tuple(trajectory))
+            return ProbeReport("cyclic", t, tuple(deltas), values1, values2,
+                               cycle_start=first, cycle_length=t - first)
+        fingerprints[fp] = t
+    return ProbeReport("converged" if delta <= tol else "undetermined", t, tuple(deltas),
+                       values1, values2)
 
 
 def _fingerprint(v1: np.ndarray, v2: np.ndarray) -> bytes:

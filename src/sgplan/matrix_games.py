@@ -233,15 +233,20 @@ def _maximin(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     A near-singular basis can leave the simplex short of the optimum (or
     with no strategy at all); the first zero-sum equilibrium from
     enumeration, whose row strategy is a maximin strategy, then takes its
-    place.
+    place.  If enumeration fails too, its error names both failures.
     """
     try:
         alpha, beta, value = maximin(mat)
-        if (mat @ beta).max() - value <= _DUALITY_TOL * _scale(mat):
+        gap, bound = (mat @ beta).max() - value, _DUALITY_TOL * _scale(mat)
+        if gap <= bound:
             return alpha, beta, value
-    except SgError:  # numerical: unbounded, non-terminating or empty strategy
-        pass
-    alpha, beta, _, _ = next(_equilibria(mat, -mat, ENUMERATION_CAP))
+        cause = f"duality gap {gap:.3g} above tolerance {bound:.3g}"
+    except SgError as exc:  # overflow, unbounded, non-terminating or empty strategy
+        cause = str(exc)
+    try:
+        alpha, beta, _, _ = next(_equilibria(mat, -mat, ENUMERATION_CAP))
+    except SgError as exc:
+        raise type(exc)(f"{exc}; the simplex failed first: {cause}") from exc
     return alpha, beta, float((alpha @ mat).min())
 
 
@@ -338,7 +343,8 @@ def _solve_linear(a: np.ndarray, b: np.ndarray):
         # one singular system fails the whole stack: solve them one at a time
         parts = [_solve_linear(a[g:g + 1], b[g:g + 1]) for g in range(len(a))]
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-    cond = np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(aug[..., 1:]).sum(axis=-1).max(axis=-1)
+    with np.errstate(over="ignore"):  # a near-singular block's inverse can overflow the sum
+        cond = np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(aug[..., 1:]).sum(axis=-1).max(axis=-1)
     return aug[..., 0], cond <= _COND_LIMIT  # false for an infinite or NaN estimate too
 
 

@@ -66,13 +66,6 @@ SEED_RULE = "splitmix64-v1"
 _LEAF_BLOCK = 16384
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
     z = z.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(30)
@@ -85,14 +78,14 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
 
 def derive_seed(parent: int, *fields: int) -> int:
     """Fold integer fields into a parent seed, one mix per field."""
-    h = parent & _MASK64
+    h = np.array([parent & _MASK64], dtype=np.uint64)  # 1-element: 0-d would warn on overflow
     for f in fields:
-        h = _mix64(h ^ _mix64(f + _GOLDEN))
-    return h
+        h = _fold(h, [f])
+    return int(h[0])
 
 
 def _fold(h: np.ndarray, field) -> np.ndarray:
-    """One step of derive_seed's fold, elementwise with broadcasting."""
+    """One fold step of the seed rule, elementwise with broadcasting."""
     return _mix64_arr(h ^ _mix64_arr(np.asarray(field).astype(np.uint64) + np.uint64(_GOLDEN)))
 
 
@@ -334,11 +327,8 @@ class InducedPolicyPair:
         return sum(p.nodes_expanded for p in self._plans.values())
 
 
-def induced_policy(model: GenerativeModel, m: int, horizon: int, root_seed,
-                   selection: SelectionFunction = nash_select,
-                   node_budget: int | None = None) -> InducedPolicyPair:
-    """Lazy policy pair: play each visited (s, t) by a fresh shared plan."""
-    return InducedPolicyPair(model, m, horizon, root_seed, selection, node_budget)
+#: lazy policy pair: play each visited (s, t) by a fresh shared plan
+induced_policy = InducedPolicyPair
 
 
 @dataclass(frozen=True)

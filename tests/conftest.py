@@ -57,18 +57,14 @@ def policy_as_fn(policy):
     return lambda s, t: policy.probs(s, t).tolist()
 
 
-def run_cli(args, cwd, threads=None):
+def run_cli(args, cwd):
     """Run `python -m sgplan *args` in cwd and capture its output.
 
     The child imports the same sgplan package as this process: the
     directory holding it goes first on the child's PYTHONPATH, so a
     relative entry such as PYTHONPATH=src cannot fail to resolve from cwd.
-    SG_THREADS is unset unless threads is given.
     """
     env = dict(os.environ)
-    env.pop("SG_THREADS", None)
-    if threads is not None:
-        env["SG_THREADS"] = str(threads)
     package_root = str(Path(sgplan.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "sgplan", *args],

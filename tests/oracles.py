@@ -11,6 +11,9 @@ The one exception is `scalar_maximin`: a pure-Python Bland-rule tableau,
 one pivot at a time, on the library's own affine map and tolerance.  The
 lockstep simplex (`simplex.maximin_stack`) promises its bits exactly, so
 the reference must run the same arithmetic, not an independent method.
+`scalar_derive_seed` is the other: the seed rule is defined by its bits,
+so the reference is the rule itself, in Python ints where the library
+folds uint64 arrays.
 """
 
 from fractions import Fraction
@@ -333,3 +336,23 @@ def _clean_distribution(x):
     if total <= 0.0:
         raise SgError("maximin LP produced an empty strategy")
     return x / total
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def scalar_derive_seed(parent, *fields):
+    """The splitmix64-v1 seed rule in Python ints: fold each field into
+    the parent seed, one mix per field."""
+    h = parent & _MASK64
+    for f in fields:
+        h = _mix64(h ^ _mix64(f + _GOLDEN))
+    return h

@@ -212,7 +212,7 @@ class TestNashModeProbe:
         # every sweep and the values settle geometrically
         report = nash_mode_probe(repeated_pd, 0.5, max_iter=200)
         assert report.classification == "converged"
-        assert report.trajectory[-1].values1[0] == pytest.approx(2.0, abs=1e-6)
+        assert report.values1[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_random_batch_classification_total(self):
         for seed in range(6):
@@ -228,9 +228,10 @@ class TestNashModeProbe:
         assert report.cycle_start == 58
         assert report.cycle_length == 2
         assert report.iterations == 60
-        first, again = report.trajectory[58], report.trajectory[60]
-        np.testing.assert_allclose(again.values1, first.values1, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(again.values2, first.values2, rtol=0, atol=1e-9)
+        first = nash_mode_probe(three_state_game, 0.7, max_iter=58)
+        assert first.iterations == 58
+        np.testing.assert_allclose(report.values1, first.values1, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(report.values2, first.values2, rtol=0, atol=1e-9)
 
     def test_undetermined_within_max_iter(self, three_state_game):
         # the fixture cycles only from sweep 58 on
@@ -238,7 +239,6 @@ class TestNashModeProbe:
         assert report.classification == "undetermined"
         assert report.iterations == 10
         assert len(report.deltas) == 10
-        assert len(report.trajectory) == 11
         assert report.cycle_start is None and report.cycle_length is None
 
     def test_selection_failure_names_sweep(self, three_state_game):

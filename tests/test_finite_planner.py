@@ -310,6 +310,18 @@ class TestSelectLevel:
             select_level(selection, q, q, [4, 5, 6], 2)
         assert isinstance(info.value.cause, EnumerationCapExceeded)
 
+    def test_failed_maximin_names_both_causes(self):
+        # the simplex refuses the overflowing range of game 12, and the
+        # enumeration fallback refuses 9x9: the error keeps the fallback's
+        # type and names the simplex failure too
+        q1, q2 = np.random.default_rng(5).uniform(-1, 1, (2, 14, 9, 9))
+        q1[12, 0, 0], q1[12, 1, 1] = 1e308, -1e308
+        with pytest.raises(SelectionFailure, match=r"state=12, t=4: support enumeration capped "
+                           r"at 8 .* 9x9; the simplex failed first: payoff range .* overflows "
+                           r"float64$") as info:
+            select_level(security_select, q1, q2, range(14), 4)
+        assert isinstance(info.value.cause, EnumerationCapExceeded)
+
     @pytest.mark.parametrize("selection", [nash_select, security_select,
                                            per_game(nash_select), per_game(security_select)])
     def test_non_finite_pair_raises_as_matrix_game_does(self, selection):

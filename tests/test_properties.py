@@ -89,6 +89,7 @@ def test_security_strategy_guarantees_level(matrix):
 @example(np.array([[1.0, 0.0], [-3.0, 1e-8], [0.0, 0.0]]))
 @example(np.array([[0.0, 1e-8, 0.0], [2.0, -1e-10, 5.0], [2.0, 0.0, 0.0]]))
 @example(np.array([[0.0, -7.0, 0.0, 0.0], [1.0, 3.0, 1e-9, 0.0]]))
+@example(np.array([[0.0, 0.0], [0.0, 1.11253693e-308]]))
 def test_zero_sum_value_equals_security_level(matrix):
     # two routes to the value: support enumeration vs the maximin LP
     game = MatrixGame.zero_sum(matrix)

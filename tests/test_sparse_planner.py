@@ -16,6 +16,7 @@ from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _
                                   _in_state_order, _uniforms)
 
 from conftest import STANDARD_FIXTURE_SEED
+from oracles import scalar_derive_seed
 
 
 def recursive_reference(model, state, t, m, seed, selection=nash_select):
@@ -156,9 +157,13 @@ def assert_same_bits(got, want):
 class TestSeedDerivation:
     def test_vectorized_matches_scalar(self):
         branch = derive_seed(123456789, 2, 3, 0, 1)
+        assert branch == scalar_derive_seed(123456789, 2, 3, 0, 1)
+        for parent, fields in ((0, ()), (-1, (5, -1)), ((1 << 64) - 1, (1 << 63, 7)),
+                               (1 << 63, (-(1 << 63), 0))):
+            assert derive_seed(parent, *fields) == scalar_derive_seed(parent, *fields)
         children = _derive_children(branch, 16)
         for ell in range(16):
-            assert int(children[ell]) == derive_seed(branch, ell)
+            assert int(children[ell]) == scalar_derive_seed(branch, ell)
 
     def test_distinct_fields_distinct_seeds(self):
         seen = {derive_seed(7, s, t, i, j, ell)
