@@ -24,10 +24,9 @@ from .game_model import (ExplicitGenerativeModel, GenerativeModel,
                          single_state_game, validate)
 from .finite_planner import (BackupTable, FiniteVIResult, best_response_dp,
                              finite_vi, nash_certificate, policy_value)
-from .sparse_planner import (GapRow, InducedPolicyPair, SeedSpec,
-                             SparsePlanResult, derive_seed, exact_sparse_game,
-                             gap_experiment, induced_policy, sample_size,
-                             sparse_game)
+from .sparse_planner import (GapRow, InducedPolicyPair, SparsePlanResult,
+                             derive_seed, exact_sparse_game, gap_experiment,
+                             induced_policy, sample_size, sparse_game)
 from .discounted_planner import (ContractionReport, InfiniteVIResult,
                                  ProbeReport, contraction_check, infinite_vi,
                                  nash_mode_probe, security_certificate)

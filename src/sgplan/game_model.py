@@ -131,9 +131,10 @@ def validate(game: StochasticGame) -> ValidationReport:
 class GenerativeModel(abc.ABC):
     """Black-box planning access: stage payoffs plus transition sampling.
 
-    Sampling is driven by explicit randomness (a uniform draw or a numpy
-    Generator); the model itself holds no mutable state, so concurrent use
-    with independent streams is safe.
+    A model implements `payoffs` and `sample_from_uniform_many`, the one
+    sampling call of the sparse planner.  Randomness is explicit (uniform
+    draws or a numpy Generator); the model holds no mutable state, so
+    concurrent use with independent streams is safe.
     """
 
     n_row_actions: int
@@ -144,15 +145,14 @@ class GenerativeModel(abc.ABC):
         """Stage game at `state`; must be deterministic in `state`."""
 
     @abc.abstractmethod
+    def sample_from_uniform_many(self, state, i, j, us: np.ndarray) -> np.ndarray:
+        """Next state (int64) for each uniform draw in `us`, each in [0, 1)."""
+
     def sample_from_uniform(self, state: int, i: int, j: int, u: float) -> int:
-        """Next state for the uniform draw u in [0, 1) (inverse CDF)."""
+        return int(self.sample_from_uniform_many(state, i, j, np.array([u], dtype=float))[0])
 
     def sample(self, state: int, i: int, j: int, rng: np.random.Generator) -> int:
         return self.sample_from_uniform(state, i, j, float(rng.random()))
-
-    def sample_from_uniform_many(self, state, i, j, us: np.ndarray) -> np.ndarray:
-        return np.array([self.sample_from_uniform(state, i, j, float(u)) for u in us],
-                        dtype=np.int64)
 
     def distribution(self, state: int, i: int, j: int):
         """Exact next-state distribution when available, else None."""
@@ -181,9 +181,6 @@ class ExplicitGenerativeModel(GenerativeModel):
     def _at(self, state, i, j) -> tuple[int, int, int]:
         return (self.game.state(state), _check_index("row action", i, self.n_row_actions),
                 _check_index("col action", j, self.n_col_actions))
-
-    def sample_from_uniform(self, state, i, j, u):
-        return int(self.sample_from_uniform_many(state, i, j, [u])[0])
 
     def sample_from_uniform_many(self, state, i, j, us):
         idx = np.searchsorted(self._cum[self._at(state, i, j)], us, side="right")

@@ -117,6 +117,8 @@ def read_json_object(path) -> dict:
     except json.JSONDecodeError as exc:
         raise GameFileError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, UnicodeDecodeError) as exc:  # nested too deep, or not UTF-8
+        raise GameFileError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise GameFileError(f"{path}: top level must be a JSON object")
     return doc

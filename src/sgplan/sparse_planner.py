@@ -76,11 +76,23 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _integer(name: str, value) -> int:
+    try:  # a float or a string is never truncated or parsed
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _root_seed(seed) -> int:
+    """A seed or `derive_seed` field under SEED_RULE: any integer, taken mod 2**64."""
+    return _integer("seed", seed) & _MASK64
+
+
 def derive_seed(parent: int, *fields: int) -> int:
     """Fold integer fields into a parent seed, one mix per field."""
-    h = np.array([parent & _MASK64], dtype=np.uint64)  # 1-element: 0-d would warn on overflow
+    h = np.array([_root_seed(parent)], dtype=np.uint64)  # 1-element: 0-d would warn on overflow
     for f in fields:
-        h = _fold(h, [f])
+        h = _fold(h, [_root_seed(f)])
     return int(h[0])
 
 
@@ -98,30 +110,6 @@ def _uniforms(seeds: np.ndarray) -> np.ndarray:
     """One uniform in [0, 1) per seed (top 53 bits of a second mix)."""
     mixed = _mix64_arr(seeds ^ np.uint64(_UNIFORM_SALT))
     return (mixed >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
-
-
-@dataclass(frozen=True)
-class SeedSpec:
-    """Root seed plus the identifier of the child-derivation rule."""
-
-    root_seed: int
-    rule: str = SEED_RULE
-
-    def __post_init__(self):
-        try:  # a float or a string is never truncated or parsed
-            seed = operator.index(self.root_seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {self.root_seed!r}") from None
-        object.__setattr__(self, "root_seed", seed & _MASK64)
-        if self.rule != SEED_RULE:
-            raise ValueError(f"unknown seed derivation rule {self.rule!r}")
-
-    def derive(self, *fields: int) -> int:
-        return derive_seed(self.root_seed, *fields)
-
-    @classmethod
-    def of(cls, seed) -> "SeedSpec":
-        return seed if isinstance(seed, SeedSpec) else cls(seed)
 
 
 @dataclass(frozen=True)
@@ -190,13 +178,14 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     before any work when the tree has more than node_budget nodes, and
     SelectionFailure if the selection function fails at some node.
     """
+    m = _integer("sample count m", m)
     if m < 1:
         raise ValueError(f"sample count m must be >= 1, got {m}")
     _check_time_remaining(t)
     explicit_game = getattr(model, "game", None)
     if explicit_game is not None:
         state = explicit_game.state(state)
-    spec = SeedSpec.of(seed)
+    seed = _root_seed(seed)
     root_stage = model.payoffs(state)
     scale = (explicit_game.r_max if explicit_game is not None
              else max(np.abs(root_stage.payoff1).max(), np.abs(root_stage.payoff2).max()))
@@ -242,7 +231,7 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         return (q1, q2) + select_level(selection, q1, q2, states, tt)
 
     return SparsePlanResult.of(backup(np.array([state], dtype=np.int64),
-                                      np.array([spec.root_seed], dtype=np.uint64), t), nodes)
+                                      np.array([seed], dtype=np.uint64), t), nodes)
 
 
 def _in_state_order(transitions: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,7 +276,7 @@ class InducedPolicyPair:
     """The global policy pair defined by replanning at every visit.
 
     The strategy pair at (s, t) is the profile of
-    sparse_game(model, s, t, m, derive(root_seed, s, t)); both halves come
+    sparse_game(model, s, t, m, derive_seed(root_seed, s, t)); both halves come
     from that single shared call.  Plans are computed lazily and memoised.
     """
 
@@ -298,7 +287,7 @@ class InducedPolicyPair:
         self.model = model
         self.m = m
         self.horizon = horizon
-        self.seed = SeedSpec.of(root_seed)
+        self.seed = _root_seed(root_seed)
         self.selection = selection
         self.node_budget = node_budget
         self._plans: dict[tuple[int, int], SparsePlanResult] = {}
@@ -307,7 +296,7 @@ class InducedPolicyPair:
         _check_index("time remaining", t, self.horizon)
         if (state, t) not in self._plans:
             self._plans[state, t] = sparse_game(self.model, state, t, self.m,
-                                                self.seed.derive(state, t),
+                                                derive_seed(self.seed, state, t),
                                                 self.selection, self.node_budget)
         return self._plans[state, t]
 
@@ -378,22 +367,20 @@ def gap_experiment(game: StochasticGame, horizon: int,
                 if exact_gaps is None:  # the oracle ignores the seed: certify it once
                     exact_gaps = nash_certificate(game, oracle.policy1, oracle.policy2,
                                                   horizon, start)
-                rows.append(GapRow(m, int(seed), *exact_gaps, 0.0, 0.0,
+                rows.append(GapRow(m, _integer("seed", seed), *exact_gaps, 0.0, 0.0,
                                    horizon * game.n_states))
                 continue
-            pair = InducedPolicyPair(model, int(m), horizon, seed, selection, node_budget)
+            pair = InducedPolicyPair(model, m, horizon, seed, selection, node_budget)
             pol1, pol2 = pair.materialize(states)
             if independent_seeds:
-                other = InducedPolicyPair(model, int(m), horizon,
-                                          derive_seed(int(seed), _INDEPENDENT_TAG),
+                other = InducedPolicyPair(model, m, horizon, derive_seed(seed, _INDEPENDENT_TAG),
                                           selection, node_budget)
                 _, pol2 = other.materialize(states)
                 nodes = pair.nodes_expanded + other.nodes_expanded
             else:
                 nodes = pair.nodes_expanded
             root = pair.plan(start, horizon - 1)
-            qerr1 = abs(root.q_hats[0] - exact_root[0])
-            qerr2 = abs(root.q_hats[1] - exact_root[1])
+            qerr1, qerr2 = (abs(q - e) for q, e in zip(root.q_hats, exact_root))
             gap1, gap2 = nash_certificate(game, pol1, pol2, horizon, start)
-            rows.append(GapRow(m, int(seed), gap1, gap2, qerr1, qerr2, nodes))
+            rows.append(GapRow(m, _integer("seed", seed), gap1, gap2, qerr1, qerr2, nodes))
     return rows

@@ -295,9 +295,14 @@ class TestMalformedJson:
           for bad in BAD_POLICY_KEYS + BAD_POLICY_PROBS),
         *(pytest.param(["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json",
                        _game_text(**bad), id=_entry_id(bad)) for bad in BAD_PAYOFFS),
+        pytest.param(["certify", "--game", "bad.json", "--horizon", "2", "--policy", "p.json"],
+                     "bad.json", "[" * 200_000 + "]" * 200_000, id="nested-too-deep"),
+        pytest.param(["solve-finite", "--game", "bad.json", "--horizon", "2"], "bad.json",
+                     b"\xff\xfe{}", id="not-utf-8"),
     ])
     def test_exits_one_without_traceback(self, tmp_path, game_file, argv, name, text):
-        (tmp_path / name).write_text(text)
+        path = tmp_path / name
+        path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
         r = run_cli(argv, tmp_path)
         assert r.returncode == 1
         assert "error:" in r.stderr

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded, SeedSpec,
+from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded,
                     SelectionFailure, StochasticGame, TimeDependentPolicy, derive_seed,
                     exact_sparse_game, finite_vi, gap_experiment, induced_policy,
                     nash_certificate, nash_select, random_game, sample_size,
@@ -58,7 +58,7 @@ def recursive_reference(model, state, t, m, seed, selection=nash_select):
                 q2[i, j] += mean2
         return selection(MatrixGame(q1, q2)), q1, q2
 
-    prof, q1, q2 = expand(state, t, SeedSpec.of(seed).root_seed)
+    prof, q1, q2 = expand(state, t, sparse_planner._root_seed(seed))
     return SparsePlanResult(prof, (prof.value1, prof.value2), (q1, q2), count[0])
 
 
@@ -107,8 +107,8 @@ def unreached_state_game():
 
 
 class PayoffsAndSamplerOnly(GenerativeModel):
-    """Generic model: no game, no n_states, the base class's looped
-    sample_from_uniform_many."""
+    """Generic model: no game, no n_states, only the two required methods,
+    the sampler delegating the whole batch."""
 
     def __init__(self, game):
         self._inner = as_generative(game)
@@ -118,8 +118,8 @@ class PayoffsAndSamplerOnly(GenerativeModel):
     def payoffs(self, state):
         return self._inner.payoffs(state)
 
-    def sample_from_uniform(self, state, i, j, u):
-        return self._inner.sample_from_uniform(state, i, j, u)
+    def sample_from_uniform_many(self, state, i, j, us):
+        return self._inner.sample_from_uniform_many(state, i, j, us)
 
 
 class SparseIds(PayoffsAndSamplerOnly):
@@ -132,8 +132,8 @@ class SparseIds(PayoffsAndSamplerOnly):
     def payoffs(self, state):
         return super().payoffs((state - self.id(0)) // 7)
 
-    def sample_from_uniform(self, state, i, j, u):
-        return self.id(super().sample_from_uniform((state - self.id(0)) // 7, i, j, u))
+    def sample_from_uniform_many(self, state, i, j, us):
+        return self.id(super().sample_from_uniform_many((state - self.id(0)) // 7, i, j, us))
 
 
 def counting(selection):
@@ -159,8 +159,14 @@ class TestSeedDerivation:
         branch = derive_seed(123456789, 2, 3, 0, 1)
         assert branch == scalar_derive_seed(123456789, 2, 3, 0, 1)
         for parent, fields in ((0, ()), (-1, (5, -1)), ((1 << 64) - 1, (1 << 63, 7)),
-                               (1 << 63, (-(1 << 63), 0))):
-            assert derive_seed(parent, *fields) == scalar_derive_seed(parent, *fields)
+                               (1 << 63, (-(1 << 63), 0)), (3, (1 << 64,)),
+                               (1 << 64, (3 << 70, -(1 << 63) - 1)),
+                               (-(1 << 65), (-(1 << 64), np.int64(-5), np.uint64(1 << 63)))):
+            assert derive_seed(parent, *fields) == scalar_derive_seed(parent, *map(int, fields))
+        assert derive_seed(3, 1 << 64) == 8349077792257542819
+        for field in (1.5, 1.0, np.float64(2.0)):
+            with pytest.raises(TypeError, match=re.escape(f"got {field!r}")):
+                derive_seed(0, field)
         children = _derive_children(branch, 16)
         for ell in range(16):
             assert int(children[ell]) == scalar_derive_seed(branch, ell)
@@ -178,19 +184,14 @@ class TestSeedDerivation:
         assert abs(us.mean() - 0.5) < 0.02
 
     def test_seed_spec_wraps_and_validates(self, three_state_game):
-        assert SeedSpec.of(5).root_seed == 5
-        assert SeedSpec.of(SeedSpec(5)).root_seed == 5
-        assert SeedSpec.of(np.int64(5)).root_seed == SeedSpec.of(np.uint8(5)).root_seed == 5
-        assert SeedSpec(-1).root_seed == SeedSpec(np.int64(-1)).root_seed == (1 << 64) - 1
-        with pytest.raises(ValueError):
-            SeedSpec(0, rule="other")
+        root_seed = sparse_planner._root_seed
+        assert root_seed(5) == root_seed(np.int64(5)) == root_seed(np.uint8(5)) == 5
+        assert root_seed(-1) == root_seed(np.int64(-1)) == (1 << 64) - 1
         # a float or a string is never truncated or parsed
         for seed in (1.2, 1.9, 2.5, "7", np.float64(1.0)):
             message = f"seed must be an integer, got {seed!r}"
             with pytest.raises(TypeError, match=re.escape(message)):
-                SeedSpec.of(seed)
-            with pytest.raises(TypeError, match=re.escape(message)):
-                SeedSpec(seed)
+                root_seed(seed)
         model = as_generative(three_state_game)
         for seed in (1.2, 1.9):
             with pytest.raises(TypeError, match=f"got {seed}"):
@@ -254,6 +255,17 @@ class TestSparseGame:
         with pytest.raises(ValueError, match=f"state {state} not in 0..2"):
             sparse_game(model, state, 1, 2, seed=0)
 
+    def test_float_sample_count_rejected(self, three_state_game):
+        # a float m is never truncated, on any route into the planner
+        model = as_generative(three_state_game)
+        message = "sample count m must be an integer, got 2.5"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            sparse_game(model, 0, 1, 2.5, seed=0)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            induced_policy(model, 2.5, 2, 0).plan(0, 1)
+        with pytest.raises(TypeError, match=re.escape(message)):
+            gap_experiment(three_state_game, 2, [2.5], [0])
+
     def test_selection_failure_names_node(self, three_state_game):
         def refuse(game):
             raise DegenerateGame("boom")
@@ -312,7 +324,7 @@ class TestSparseGame:
             return nash_select(MatrixGame(q1, q2))
 
         got = sparse_game(model, 0, 2, 3, seed=31)
-        want = reference(0, 2, SeedSpec(31).root_seed)
+        want = reference(0, 2, sparse_planner._root_seed(31))
         np.testing.assert_allclose(got.profile.row.probs, want.row.probs, atol=1e-12)
         assert got.q_hats[0] == pytest.approx(want.value1, abs=1e-12)
 
