@@ -10,34 +10,33 @@ planners compose state by state.
 Enumeration visits support pairs of equal size (unequal ones carry no
 isolated equilibrium) in a fixed canonical order -- ascending (size,
 lexicographic row support, lexicographic column support) -- so that
-selection is a pure function of the matrix entries.  One routine,
-`_candidates`, tests a support pair on a stack of games at once: the
-indifference systems of the whole stack go through one stacked solve, then
-the support, deviation and Nash-gap checks.  The scalar core
-`_equilibria(m1, m2, cap)` runs it on a stack of one and yields (alpha, beta,
-value1, value2); the public functions wrap those arrays through
-`StrategyProfile.of`.  A degenerate game can leave the canonical order
-empty; the scalar core then falls back to the vertex pairs of the
-best-response polytopes, in a fixed order too.
+selection is a pure function of the matrix entries.  One walk, `_walk`,
+takes that order one support size at a time over a stack of games: size 1
+off the payoffs, each larger size in stacked `_candidates` calls over every
+(open game, pair), with one solve per player before the support, deviation
+and Nash-gap checks.  The scalar core `_equilibria(m1, m2, cap)` walks a
+stack of one and yields every accepted (alpha, beta, value1, value2) in
+order; a degenerate game that leaves the order empty falls back to the
+vertex pairs of the best-response polytopes, in a fixed order too.
 
 `nash_select` and `security_select` carry an array form, `array_form`, that
-selects a whole (K, n1, n2) stack of games with the same output bits.
-`finite_planner.select_level` uses it when a selection has one.  The Nash
-form, `_nash_stack`, walks the canonical order once, testing at each
-support pair only the games no earlier pair settled; a game that no pair
-settles is left to `nash_select` itself and so to the vertex fallback.  The
-security form, `_security_stack`, solves a level's maximin LPs with one
-lockstep simplex call (`simplex.maximin_stack`), both players in one call
-when their matrices have one shape, and checks every duality gap at once;
-a game the stack flags or that fails the check takes the per-game
-`_maximin`, and so its re-solve by enumeration.
+selects a whole (K, n1, n2) stack with the same output bits, for
+`finite_planner.select_level`.  The Nash form, `_nash_stack`, keeps each
+game's first accepted pair of the same walk and leaves a game with none to
+`nash_select`, so to the vertex fallback.  The security form,
+`_security_stack`, solves a level's maximin LPs with one lockstep simplex
+call (`simplex.maximin_stack`), both players in one call when their
+matrices have one shape, and checks every duality gap at once; a game the
+stack flags or that fails the check takes the per-game `_maximin`, and so
+its re-solve by enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +59,8 @@ _TIE_TOL = 1e-12
 _DUALITY_TOL = 1e-10
 #: linear systems with a worse condition estimate are discarded.
 _COND_LIMIT = 1e12
+#: most (game, support pair) candidates per stacked call; no bit depends on it.
+_PAIR_BLOCK = 4096
 
 
 def _frozen(arr):
@@ -319,12 +320,11 @@ def _security_stack(m1, m2, rows, cols, values1, values2) -> list[int]:
 security_select.array_form = _security_stack
 
 
-def _support_pairs(n1: int, n2: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    # canonical order: ascending (k, lex sup1, lex sup2), both supports of size k
-    for k in range(1, min(n1, n2) + 1):
-        for sup1 in itertools.combinations(range(n1), k):
-            for sup2 in itertools.combinations(range(n2), k):
-                yield sup1, sup2
+@functools.lru_cache(maxsize=None)
+def _pair_table(n1: int, n2: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column supports (P, size) of the pairs of one size, in order."""
+    pairs = itertools.product(*(itertools.combinations(range(n), size) for n in (n1, n2)))
+    return tuple(map(_frozen, np.array(list(pairs)).transpose(1, 0, 2)))
 
 
 def _solve_linear(a: np.ndarray, b: np.ndarray):
@@ -337,12 +337,16 @@ def _solve_linear(a: np.ndarray, b: np.ndarray):
     rhs[..., 1:] = np.eye(n)
     try:
         aug = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.zeros(b.shape), np.zeros(1, dtype=bool)
-        # one singular system fails the whole stack: solve them one at a time
-        parts = [_solve_linear(a[g:g + 1], b[g:g + 1]) for g in range(len(a))]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    except np.linalg.LinAlgError:  # one exactly singular system fails the whole stack
+        # slogdet runs the same LU; sign 0 marks them. Solve the rest apart, or bisect if none
+        regular = len(a) > 1 and np.linalg.slogdet(a)[0] != 0
+        if not np.any(regular):
+            return np.zeros(b.shape), np.zeros(len(a), dtype=bool)
+        regular = np.arange(len(a)) < len(a) // 2 if regular.all() else regular
+        x, solved = np.zeros(b.shape), np.zeros(len(a), dtype=bool)
+        for part in regular, ~regular:
+            x[part], solved[part] = _solve_linear(a[part], b[part])
+        return x, solved
     with np.errstate(over="ignore"):  # a near-singular block's inverse can overflow the sum
         cond = np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(aug[..., 1:]).sum(axis=-1).max(axis=-1)
     return aug[..., 0], cond <= _COND_LIMIT  # false for an infinite or NaN estimate too
@@ -363,67 +367,89 @@ def _indifference(blocks: np.ndarray):
     return x[:, :k2], solved
 
 
-def _candidates(m1, m2, sup1, sup2, scale):
-    """The equilibria of a stack of games (m1, m2), (B, n1, n2), on the exact
-    supports (sup1, sup2) of equal size: (games, alpha, beta, values1,
-    values2) for the indices `games` of the stack whose candidate passes the
-    indifference, support, deviation and Nash-gap checks; None if no game's
-    does.
+def _pure(m1, m2, scale):
+    """Size 1 off a whole stack (K, n1, n2), in game and row-major order: a
+    pure profile passes if no deviation gain, so its Nash gap, exceeds _TIE_TOL * scale."""
+    tie = _TIE_TOL * scale[:, None, None]
+    pure = (m1.max(axis=1)[:, None, :] <= m1 + tie) & (m2.max(axis=2)[:, :, None] <= m2 + tie)
+    games, cells = np.nonzero(pure.reshape(len(m1), -1))
+    if not games.size:
+        return None
+    i, j = np.divmod(cells, m1.shape[2])
+    return games, np.eye(m1.shape[1])[i], np.eye(m1.shape[2])[j], m1[games, i, j], m2[games, i, j]
 
-    scale (B,) is each game's payoff scale.  A support probability must
-    exceed SUPPORT_TOL * scale and the Nash gap stay within VERIFY_TOL *
-    scale; a deviation must gain more than _TIE_TOL * scale, a rounding-level
-    slack, to rule the candidate out.  A looser deviation slack would admit
-    near-equilibria ahead of the exact ones.  The second solve sees only the
-    games whose first one passed, and the products only those whose
-    supports hold, so no step computes on the output of a failed solve.
-    """
+
+def _candidates(m1, m2, games, sup1, sup2, scale):
+    """Candidate c is game games[c] of the stack (m1, m2), (K, n1, n2), on
+    the exact supports sup1[c], sup2[c] of one size k >= 2.  Returns (games,
+    alpha, beta, values1, values2) of the candidates that pass the
+    indifference, support, deviation and Nash-gap checks, in order, or None.
+
+    With scale (K,) each game's payoff scale, support probabilities must
+    exceed SUPPORT_TOL * scale, the Nash gap stay within VERIFY_TOL * scale,
+    and no deviation gain exceed _TIE_TOL * scale, a rounding-level slack (a
+    looser one admits near-equilibria ahead of exact ones).  No step
+    computes on the output of a failed solve."""
     n1, n2 = m1.shape[1:]
-    tie = _TIE_TOL * scale
-    if len(sup1) == 1:
-        # a pure candidate that passes the tie checks has a Nash gap of at most tie
-        i, j = sup1[0], sup2[0]
-        v1, v2 = m1[:, i, j], m2[:, i, j]
-        games = np.flatnonzero((m1[:, :, j].max(axis=1) <= v1 + tie)
-                               & (m2[:, i, :].max(axis=1) <= v2 + tie))
-        if not games.size:
-            return None
-        alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
-        alpha[:, i] = beta[:, j] = 1.0
-        return games, alpha, beta, v1[games], v2[games]
-
-    # the solution must live on exactly the declared supports
-    tol = SUPPORT_TOL * scale
-    r1, c2 = np.array(sup1), np.array(sup2)
-    beta_s, solved = _indifference(m1[:, r1[:, None], c2])
-    games = np.flatnonzero(solved & (beta_s.min(axis=1) > tol))
+    tol = SUPPORT_TOL * scale[games]
+    beta_s, solved = _indifference(m1[games[:, None, None], sup1[:, :, None], sup2[:, None, :]])
+    c = np.flatnonzero(solved & (beta_s.min(axis=1) > tol))
+    if not c.size:
+        return None
+    games, r1, c2 = games[c], sup1[c], sup2[c]
+    alpha_s, solved = _indifference(
+        m2[games[:, None, None], r1[:, :, None], c2[:, None, :]].transpose(0, 2, 1))
+    keep = solved & (alpha_s.min(axis=1) > tol[c])
+    games, r1, c2, alpha_s, beta_s = games[keep], r1[keep], c2[keep], alpha_s[keep], beta_s[c[keep]]
     if not games.size:
         return None
-    alpha_s, solved = _indifference(m2[games[:, None, None], r1[:, None], c2].transpose(0, 2, 1))
-    keep = solved & (alpha_s.min(axis=1) > tol[games])
-    games, alpha_s, beta_s = games[keep], alpha_s[keep], beta_s[games[keep]]
-    if not games.size:
-        return None
+    at = np.arange(games.size)[:, None]
     alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
-    alpha[:, r1] = alpha_s / alpha_s.sum(axis=1, keepdims=True)
-    beta[:, c2] = beta_s / beta_s.sum(axis=1, keepdims=True)
-    if games.size < len(m1):  # narrow only when needed: a caller's stack of one keeps
-        m1, m2 = m1[games], m2[games]  # its strides, and with them its matmul bits
+    alpha[at, r1] = alpha_s / alpha_s.sum(axis=1, keepdims=True)
+    beta[at, c2] = beta_s / beta_s.sum(axis=1, keepdims=True)
+    m1, m2 = m1[games], m2[games]  # each copy keeps its strides, so its matmul bits
     alpha_row, beta_col = alpha[:, None, :], beta[:, :, None]
     # no profitable pure deviation outside the supports, measured against the
     # support payoffs themselves so that the solve error does not enter
-    pay1 = (m1 @ beta_col)[:, :, 0]
-    pay2 = (alpha_row @ m2)[:, 0, :]
-    tie, verify = tie[games], VERIFY_TOL * scale[games]
+    pay1, pay2 = (m1 @ beta_col)[:, :, 0], (alpha_row @ m2)[:, 0, :]
+    tie, verify = _TIE_TOL * scale[games], VERIFY_TOL * scale[games]
     v2 = (pay2[:, None, :] @ beta_col)[:, 0, 0]
-    keep = ((pay1.max(axis=1) <= pay1[:, r1].max(axis=1) + tie)
-            & (pay2.max(axis=1) <= pay2[:, c2].max(axis=1) + tie)
+    keep = ((pay1.max(axis=1) <= pay1[at, r1].max(axis=1) + tie)
+            & (pay2.max(axis=1) <= pay2[at, c2].max(axis=1) + tie)
             & (pay1.max(axis=1) - (alpha_row @ pay1[:, :, None])[:, 0, 0] <= verify)
             & (pay2.max(axis=1) - v2 <= verify))
     if not keep.any():
         return None
     v1 = ((alpha_row @ m1) @ beta_col)[:, 0, 0]
     return games[keep], alpha[keep], beta[keep], v1[keep], v2[keep]
+
+
+def _walk(m1, m2, scale, first: bool):
+    """Yields, one support size at a time, (games, alpha, beta, values1,
+    values2) with a row per accepted (game, pair) of a stack (K, n1, n2), in
+    game and canonical pair order, from kernel calls of at most _PAIR_BLOCK
+    candidates.  With `first`, a game keeps its first pair and leaves."""
+    (n1, n2), open_games = m1.shape[1:], np.ones(len(m1), dtype=bool)
+    for size in range(1, min(n1, n2) + 1):
+        todo, (sup1, sup2) = np.flatnonzero(open_games), _pair_table(n1, n2, size)
+        if not todo.size:
+            return
+        total = todo.size * len(sup1)
+        found = [_pure(m1, m2, scale)] if size == 1 else [
+            _candidates(m1, m2, todo[c // len(sup1)], sup1[c % len(sup1)], sup2[c % len(sup1)],
+                        scale)  # candidates c game-major, pairs in order
+            for c in (np.arange(start, min(start + _PAIR_BLOCK, total))
+                      for start in range(0, total, _PAIR_BLOCK))]
+        found = [part for part in found if part is not None]
+        if not found:
+            continue
+        found = found[0] if len(found) == 1 else [np.concatenate(a) for a in zip(*found)]
+        if first:  # rows are game-major: a game's first row is its first pair
+            keep = np.concatenate(([True], found[0][1:] != found[0][:-1]))
+            if not keep.all():
+                found = [a[keep] for a in found]
+            open_games[found[0]] = False
+        yield tuple(found)
 
 
 def _vertices(g: np.ndarray, h: np.ndarray) -> list[tuple[np.ndarray, frozenset]]:
@@ -484,13 +510,9 @@ def _equilibria(m1: np.ndarray, m2: np.ndarray, cap: int):
             f"support enumeration capped at {cap} actions per player, game is {n1}x{n2}")
     scale = _scale(m1, m2)
     found = False
-    stack1, stack2, scales = m1[None], m2[None], np.array([scale])
-    for sup1, sup2 in _support_pairs(n1, n2):
-        accepted = _candidates(stack1, stack2, sup1, sup2, scales)
-        if accepted is not None:
-            found = True
-            _, alpha, beta, v1, v2 = accepted
-            yield alpha[0], beta[0], float(v1[0]), float(v2[0])
+    for _, alpha, beta, v1, v2 in _walk(m1[None], m2[None], np.array([scale]), first=False):
+        found = True
+        yield from zip(alpha, beta, v1.tolist(), v2.tolist())
     if found:
         return
     for eq in _vertex_pairs(m1, m2):
@@ -528,13 +550,9 @@ def nash_select(game: MatrixGame) -> StrategyProfile:
 def _nash_stack(m1, m2, rows, cols, values1, values2) -> np.ndarray:
     """Array form of `nash_select` over a stack of games (K, n1, n2) with
     finite payoffs: the selection of game k goes to rows[k], cols[k],
-    values1[k] and values2[k].
-
-    One walk of the canonical support order; each support pair's candidates
-    are computed, by `_candidates`, for the games no earlier pair settled.
-    Returns the games it leaves to `nash_select` itself, in ascending order:
-    those no support pair accepts (the vertex fallback), and all of them
-    above ENUMERATION_CAP.
+    values1[k] and values2[k], from each game's first accepted support pair.
+    Returns the games left to `nash_select` itself, in ascending order: those
+    no pair accepts (the vertex fallback), and all above ENUMERATION_CAP.
     """
     n1, n2 = m1.shape[1:]
     if max(n1, n2) > ENUMERATION_CAP:
@@ -542,17 +560,9 @@ def _nash_stack(m1, m2, rows, cols, values1, values2) -> np.ndarray:
     settled = np.zeros(len(m1), dtype=bool)
     scale = np.maximum(np.abs(m1).max(axis=(1, 2), initial=1.0),
                        np.abs(m2).max(axis=(1, 2), initial=1.0))
-    for sup1, sup2 in _support_pairs(n1, n2):
-        games = np.flatnonzero(~settled)
-        if not games.size:
-            break
-        found = _candidates(m1[games], m2[games], sup1, sup2, scale[games])
-        if found is None:
-            continue
-        hit, alpha, beta, v1, v2 = found
-        hit = games[hit]
-        rows[hit], cols[hit], values1[hit], values2[hit] = alpha, beta, v1, v2
-        settled[hit] = True
+    for games, alpha, beta, v1, v2 in _walk(m1, m2, scale, first=True):
+        rows[games], cols[games], values1[games], values2[games] = alpha, beta, v1, v2
+        settled[games] = True
     return np.flatnonzero(~settled)
 
 

@@ -11,9 +11,12 @@ The one exception is `scalar_maximin`: a pure-Python Bland-rule tableau,
 one pivot at a time, on the library's own affine map and tolerance.  The
 lockstep simplex (`simplex.maximin_stack`) promises its bits exactly, so
 the reference must run the same arithmetic, not an independent method.
-`scalar_derive_seed` is the other: the seed rule is defined by its bits,
+`scalar_derive_seed` is another: the seed rule is defined by its bits,
 so the reference is the rule itself, in Python ints where the library
-folds uint64 arrays.
+folds uint64 arrays.  `pairwise_nash_stack` and `pairwise_equilibria` are
+the third: the support walk one support pair at a time, each pair tested
+on the games no earlier pair settled, kept as the reference for the
+library's walk by support size, which promises the same bits.
 """
 
 from fractions import Fraction
@@ -22,7 +25,9 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import linprog
 
-from sgplan import SgError
+from sgplan import DegenerateGame, EnumerationCapExceeded, SgError
+from sgplan.matrix_games import (_COND_LIMIT, _TIE_TOL, ENUMERATION_CAP, SUPPORT_TOL,
+                                 VERIFY_TOL, _gaps, _scale, _vertex_pairs)
 from sgplan.simplex import _TOL, onto_one_two
 
 UNDERDETERMINED = "underdetermined"
@@ -356,3 +361,137 @@ def scalar_derive_seed(parent, *fields):
     for f in fields:
         h = _mix64(h ^ _mix64(f + _GOLDEN))
     return h
+
+
+def support_pairs(n1, n2):
+    """Support pairs of equal size k in the canonical order: ascending
+    (k, lex row support, lex column support)."""
+    for k in range(1, min(n1, n2) + 1):
+        for sup1 in combinations(range(n1), k):
+            for sup2 in combinations(range(n2), k):
+                yield sup1, sup2
+
+
+def _pairwise_solve(a, b):
+    # a singular system fails np.linalg.solve for the whole stack: one at a time
+    n = a.shape[-1]
+    rhs = np.empty(b.shape + (n + 1,))
+    rhs[..., 0] = b
+    rhs[..., 1:] = np.eye(n)
+    try:
+        aug = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(b.shape), np.zeros(1, dtype=bool)
+        parts = [_pairwise_solve(a[g:g + 1], b[g:g + 1]) for g in range(len(a))]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    with np.errstate(over="ignore"):
+        cond = np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(aug[..., 1:]).sum(axis=-1).max(axis=-1)
+    return aug[..., 0], cond <= _COND_LIMIT
+
+
+def _pairwise_indifference(blocks):
+    n, k1, k2 = blocks.shape
+    system = np.zeros((n, k1 + 1, k2 + 1))
+    system[:, :k1, :k2] = blocks
+    system[:, :k1, k2] = -1.0
+    system[:, k1, :k2] = 1.0
+    rhs = np.zeros((n, k1 + 1))
+    rhs[:, k1] = 1.0
+    x, solved = _pairwise_solve(system, rhs)
+    return x[:, :k2], solved
+
+
+def pairwise_candidates(m1, m2, sup1, sup2, scale):
+    """(games, alpha, beta, values1, values2) of the games of the stack
+    (m1, m2), (B, n1, n2), accepted on the one support pair (sup1, sup2),
+    or None if no game is."""
+    n1, n2 = m1.shape[1:]
+    tie = _TIE_TOL * scale
+    if len(sup1) == 1:
+        i, j = sup1[0], sup2[0]
+        v1, v2 = m1[:, i, j], m2[:, i, j]
+        games = np.flatnonzero((m1[:, :, j].max(axis=1) <= v1 + tie)
+                               & (m2[:, i, :].max(axis=1) <= v2 + tie))
+        if not games.size:
+            return None
+        alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
+        alpha[:, i] = beta[:, j] = 1.0
+        return games, alpha, beta, v1[games], v2[games]
+    tol = SUPPORT_TOL * scale
+    r1, c2 = np.array(sup1), np.array(sup2)
+    beta_s, solved = _pairwise_indifference(m1[:, r1[:, None], c2])
+    games = np.flatnonzero(solved & (beta_s.min(axis=1) > tol))
+    if not games.size:
+        return None
+    alpha_s, solved = _pairwise_indifference(
+        m2[games[:, None, None], r1[:, None], c2].transpose(0, 2, 1))
+    keep = solved & (alpha_s.min(axis=1) > tol[games])
+    games, alpha_s, beta_s = games[keep], alpha_s[keep], beta_s[games[keep]]
+    if not games.size:
+        return None
+    alpha, beta = np.zeros((games.size, n1)), np.zeros((games.size, n2))
+    alpha[:, r1] = alpha_s / alpha_s.sum(axis=1, keepdims=True)
+    beta[:, c2] = beta_s / beta_s.sum(axis=1, keepdims=True)
+    if games.size < len(m1):  # a stack of one keeps its strides and matmul bits
+        m1, m2 = m1[games], m2[games]
+    alpha_row, beta_col = alpha[:, None, :], beta[:, :, None]
+    pay1 = (m1 @ beta_col)[:, :, 0]
+    pay2 = (alpha_row @ m2)[:, 0, :]
+    tie, verify = tie[games], VERIFY_TOL * scale[games]
+    v2 = (pay2[:, None, :] @ beta_col)[:, 0, 0]
+    keep = ((pay1.max(axis=1) <= pay1[:, r1].max(axis=1) + tie)
+            & (pay2.max(axis=1) <= pay2[:, c2].max(axis=1) + tie)
+            & (pay1.max(axis=1) - (alpha_row @ pay1[:, :, None])[:, 0, 0] <= verify)
+            & (pay2.max(axis=1) - v2 <= verify))
+    if not keep.any():
+        return None
+    v1 = ((alpha_row @ m1) @ beta_col)[:, 0, 0]
+    return games[keep], alpha[keep], beta[keep], v1[keep], v2[keep]
+
+
+def pairwise_nash_stack(m1, m2, rows, cols, values1, values2):
+    """`matrix_games._nash_stack` one support pair at a time: each pair is
+    tested on the games no earlier pair settled.  Returns the games left."""
+    n1, n2 = m1.shape[1:]
+    if max(n1, n2) > ENUMERATION_CAP:
+        return np.arange(len(m1))
+    settled = np.zeros(len(m1), dtype=bool)
+    scale = np.maximum(np.abs(m1).max(axis=(1, 2), initial=1.0),
+                       np.abs(m2).max(axis=(1, 2), initial=1.0))
+    for sup1, sup2 in support_pairs(n1, n2):
+        games = np.flatnonzero(~settled)
+        if not games.size:
+            break
+        found = pairwise_candidates(m1[games], m2[games], sup1, sup2, scale[games])
+        if found is None:
+            continue
+        hit, alpha, beta, v1, v2 = found
+        hit = games[hit]
+        rows[hit], cols[hit], values1[hit], values2[hit] = alpha, beta, v1, v2
+        settled[hit] = True
+    return np.flatnonzero(~settled)
+
+
+def pairwise_equilibria(m1, m2, cap=ENUMERATION_CAP):
+    """`matrix_games._equilibria` one support pair at a time on a stack of
+    one, then the library's vertex fallback."""
+    n1, n2 = m1.shape
+    if n1 > cap or n2 > cap:
+        raise EnumerationCapExceeded(f"game is {n1}x{n2}")
+    scale = _scale(m1, m2)
+    found = False
+    for sup1, sup2 in support_pairs(n1, n2):
+        accepted = pairwise_candidates(m1[None], m2[None], sup1, sup2, np.array([scale]))
+        if accepted is not None:
+            found = True
+            _, alpha, beta, v1, v2 = accepted
+            yield alpha[0], beta[0], float(v1[0]), float(v2[0])
+    if found:
+        return
+    for eq in _vertex_pairs(m1, m2):
+        if max(_gaps(m1, m2, eq[0], eq[1])) <= VERIFY_TOL * scale:
+            found = True
+            yield eq
+    if not found:
+        raise DegenerateGame("no equilibrium survived verification")

@@ -8,7 +8,7 @@ from sgplan import (DimensionMismatch, EnumerationCapExceeded, MatrixGame,
                     enumerate_nash, epsilon_nash_gap, expected_payoff,
                     nash_select, security_level, security_select,
                     solve_zero_sum)
-from sgplan import simplex
+from sgplan import matrix_games, simplex
 from sgplan.finite_planner import select_level
 from sgplan.simplex import maximin, maximin_stack, onto_one_two
 
@@ -414,6 +414,57 @@ class TestEnumerateNash:
             prof = nash_select(MatrixGame(m1, m2))
             g1, g2 = nash_gap_exact(m1.tolist(), m2.tolist(), prof.row.probs, prof.col.probs)
             assert float(max(g1, g2)) <= 1e-9
+
+
+class TestSupportWalk:
+    """The stacked solves behind the walk by support size."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        return calls
+
+    @staticmethod
+    def systems(singular):
+        """64 indifference-shaped 3x3 systems, those listed exactly singular."""
+        a = np.random.default_rng(5).uniform(-1, 1, (64, 3, 3))
+        a[singular] = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        return a, np.random.default_rng(6).uniform(-1, 1, (64, 3))
+
+    @staticmethod
+    def alone(a, b):
+        parts = [matrix_games._solve_linear(a[g:g + 1], b[g:g + 1]) for g in range(len(a))]
+        return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+    @pytest.mark.parametrize("singular", [[37], [0, 5, 6, 33, 63], list(range(0, 64, 2))])
+    def test_singular_systems_split_off(self, singular, monkeypatch):
+        a, b = self.systems(singular)
+        want_x, want_ok = self.alone(a, b)
+        calls = self.count_solves(monkeypatch)
+        x, ok = matrix_games._solve_linear(a, b)
+        assert (x.tobytes(), ok.tolist()) == (want_x.tobytes(), want_ok.tolist())
+        assert np.flatnonzero(~ok).tolist() == singular
+        assert len(calls) == 3  # the stack, the regular systems, the singular ones
+
+    def test_bisection_when_slogdet_flags_nothing(self, monkeypatch):
+        a, b = self.systems([37])
+        want_x, want_ok = self.alone(a, b)
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (np.ones(len(a)), np.zeros(len(a))))
+        calls = self.count_solves(monkeypatch)
+        x, ok = matrix_games._solve_linear(a, b)
+        assert (x.tobytes(), ok.tolist()) == (want_x.tobytes(), want_ok.tolist())
+        assert len(calls) <= 2 * np.log2(64) + 1  # O(log K), not one call per system
+
+    def test_level_takes_two_solves_per_support_size(self, monkeypatch):
+        """A 100-game 3x3 level: size 1 reads the payoffs, sizes 2 and 3 each
+        make one stacked solve per player, where a walk one support pair at
+        a time makes up to 2 per pair of size 2 or 3 (20)."""
+        q1, q2 = np.random.default_rng(9).uniform(-1, 1, (2, 100, 3, 3))
+        calls = self.count_solves(monkeypatch)
+        select_level(nash_select, q1, q2, range(100), 0)
+        assert 0 < len(calls) <= 4
 
 
 class TestSelection:

@@ -7,8 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from sgplan import (DegenerateGame, MatrixGame, MixedStrategy, StrategyProfile,
                     best_response, enumerate_nash, epsilon_nash_gap,
                     expected_payoff, nash_select, security_level, solve_zero_sum)
-from sgplan.matrix_games import (ENUMERATION_CAP, _candidates, _equilibria, _nash_stack,
-                                 _scale, _support_pairs)
+from sgplan.matrix_games import ENUMERATION_CAP, _equilibria, _nash_stack, _scale, _walk
+
+import oracles
 
 
 def _matrix(draw, n1, n2):
@@ -193,10 +194,66 @@ def test_batched_kernel_selects_what_enumeration_yields_first(stack):
             assert g in left
             continue
         if g in left:  # no support pair accepts it: the first one is a vertex pair
-            assert all(_candidates(m1[g:g + 1], m2[g:g + 1], s1, s2,
-                                   np.array([_scale(m1[g], m2[g])])) is None
-                       for s1, s2 in _support_pairs(n1, n2))
+            assert not list(_walk(m1[g:g + 1], m2[g:g + 1],
+                                  np.array([_scale(m1[g], m2[g])]), first=False))
             continue
         got = out[0][g], out[1][g], out[2][g], out[3][g]
         assert [np.asarray(x, float).tobytes() for x in got] == \
             [np.asarray(x, float).tobytes() for x in want]
+
+
+@st.composite
+def reference_stack(draw):
+    """(m1, m2) stacks of 0 to 40 games of one shape from 1x1 to 5x5:
+    integer-valued (often degenerate, with exactly singular indifference
+    systems) or uniform, general-sum or zero-sum, scaled by 2**-30, 1 or
+    2**30."""
+    n1, n2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    games = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        m1, m2 = rng.integers(-2, 3, (2, games, n1, n2)).astype(float)
+    else:
+        m1, m2 = rng.uniform(-1, 1, (2, games, n1, n2))
+    if draw(st.booleans()):
+        m2 = -m1
+    scale = 2.0 ** draw(st.sampled_from([-30, 0, 30]))
+    return m1 * scale, m2 * scale
+
+
+def _reference_example(n1, n2, games, seed):
+    m1, m2 = np.random.default_rng(seed).integers(-2, 3, (2, games, n1, n2)).astype(float)
+    return m1, m2
+
+
+@settings(max_examples=60, deadline=None)
+@given(reference_stack())
+@example(_reference_example(1, 5, 40, 0))
+@example(_reference_example(5, 1, 40, 1))
+@example(_reference_example(3, 3, 0, 2))
+@example(_reference_example(5, 5, 40, 3))
+def test_walk_by_size_matches_pairwise_walk(stack):
+    """`_nash_stack` and `enumerate_nash` give, bit for bit, what the walk one
+    support pair at a time in `oracles` gives, and leave the same games."""
+    m1, m2 = stack
+    k, n1, n2 = m1.shape
+    got, want = ([np.full((k, n1), np.nan), np.full((k, n2), np.nan), np.full(k, np.nan),
+                  np.full(k, np.nan)] for _ in range(2))
+    assert _nash_stack(m1, m2, *got).tolist() == oracles.pairwise_nash_stack(m1, m2, *want).tolist()
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def sequence(equilibria, a, b):
+        try:
+            return [[np.asarray(x, float).tobytes() for x in eq] for eq in equilibria(a, b)]
+        except DegenerateGame:
+            return "degenerate"
+
+    for g in range(min(k, 3)):
+        # a transposed view, as the maximin re-solve passes payoff2.T, keeps its strides
+        for a, b in ((m1[g].T, m2[g].T), (m1[g], m2[g])):
+            want = sequence(oracles.pairwise_equilibria, a, b)
+            assert sequence(lambda a, b: _equilibria(a, b, ENUMERATION_CAP), a, b) == want
+        if want != "degenerate":
+            profiles = enumerate_nash(MatrixGame(m1[g], m2[g]))
+            assert [[p.row.probs.tobytes(), p.col.probs.tobytes(), np.float64(p.value1).tobytes(),
+                     np.float64(p.value2).tobytes()] for p in profiles] == want
