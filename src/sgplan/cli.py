@@ -17,6 +17,7 @@ from .finite_planner import finite_vi, nash_certificate
 from .game_model import as_generative, random_game
 from .io import (DISCOUNTED_TRACE_HEADER, FINITE_TRACE_HEADER, GAP_TRACE_HEADER, load_game,
                  load_policy_pair, read_json_object, save_game, save_policy_pair, write_trace)
+from .matrix_games import _check_index
 from .sparse_planner import gap_experiment, sample_size, sparse_game
 
 
@@ -41,10 +42,7 @@ def _parse_m_list(text: str):
 def _parse_seeds(text: str):
     if "," in text:
         return [int(tok) for tok in text.split(",")]
-    count = int(text)
-    if count < 1:
-        raise ValueError(f"seed count must be >= 1, got {count}")
-    return list(range(count))
+    return list(range(_check_index("seed count", int(text), low=1)))
 
 
 def _cmd_generate(args) -> int:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import SgError
 from .finite_planner import backup_sweeps
 from .game_model import StationaryPolicy, StochasticGame
-from .matrix_games import SelectionFunction, _by_player, security_select, nash_select
+from .matrix_games import SelectionFunction, _by_player, _check_index, nash_select, security_select
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ def _check_settings(gamma: float, tol: float = 0.0, max_iter: int = 0) -> None:
         raise ValueError(f"discount factor must lie in [0, 1), got {gamma}")
     if not tol >= 0.0:
         raise ValueError(f"tolerance tol must be >= 0, got {tol}")
-    if max_iter < 0:
-        raise ValueError(f"sweep limit max_iter must be >= 0, got {max_iter}")
+    _check_index("sweep limit max_iter", max_iter)
 
 
 def _sweeps(game: StochasticGame, gamma: float, selection: SelectionFunction,

@@ -126,11 +126,6 @@ def backup_sweeps(game: StochasticGame, gamma: float, selection: SelectionFuncti
         q2 = game.payoffs2 + gamma * expect(game.transitions, v2)
 
 
-def _check_horizon(horizon: int) -> None:
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-
-
 def _tabulate(game: StochasticGame, horizon: int, levels) -> FiniteVIResult:
     """Stack one (q1, q2, rows, cols, values1, values2) level per t < horizon,
     t = 0 first, into a BackupTable and its two policy halves."""
@@ -143,7 +138,7 @@ def finite_vi(game: StochasticGame, horizon: int,
               selection: SelectionFunction = nash_select) -> FiniteVIResult:
     """Nash value iteration over backup matrices for an H-stage game: the
     first H sweeps of the backup at gamma = 1."""
-    _check_horizon(horizon)
+    horizon = _check_index("horizon", horizon, low=1)
     return _tabulate(game, horizon, islice(backup_sweeps(game, 1.0, selection), horizon))
 
 
@@ -151,7 +146,7 @@ def policy_value(game: StochasticGame, policy1: TimeDependentPolicy,
                  policy2: TimeDependentPolicy, horizon: int,
                  start: int | None = None) -> tuple[float, float]:
     """Exact per-stage average returns of a fixed policy pair."""
-    _check_horizon(horizon)
+    horizon = _check_index("horizon", horizon, low=1)
     start = game.state(start)
     n_states = game.n_states
     a = policy1.dense(n_states, horizon, game.n_row_actions)
@@ -178,7 +173,7 @@ def best_response_dp(game: StochasticGame, opponent: TimeDependentPolicy,
     by the lowest action index.  Returns the policy and its per-stage
     average value from `start`.
     """
-    _check_horizon(horizon)
+    horizon = _check_index("horizon", horizon, low=1)
     start = game.state(start)
     n_states = game.n_states
     # reply(q, opp_t): each own action's payoff against opp at t, per state

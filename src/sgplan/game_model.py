@@ -45,7 +45,8 @@ class StochasticGame:
         if tr.shape != p1.shape + (p1.shape[0],):
             raise DimensionMismatch(
                 f"transitions must have shape {p1.shape + (p1.shape[0],)}, got {tr.shape}")
-        _check_index("start_state", self.start_state, p1.shape[0])
+        object.__setattr__(self, "start_state",
+                           _check_index("start_state", self.start_state, p1.shape[0]))
         r_max = self.r_max
         if r_max is None:
             r_max = float(max(np.abs(p1).max(), np.abs(p2).max()))
@@ -219,6 +220,7 @@ class _DensePolicy:
         and DimensionMismatch for a key of the wrong length."""
         if len(key) != self.strategies.ndim - 1:
             raise DimensionMismatch(f"policy key {key} must be {self._key}")
+        key = tuple(_check_index("policy key", k, low=None) for k in key)
         if (all(0 <= k < n for k, n in zip(key, self.strategies.shape))
                 and not np.isnan(self.strategies[key]).all()):
             return self.strategies[key]
@@ -252,6 +254,9 @@ class TimeDependentPolicy(_DensePolicy):
     def __init__(self, horizon: int, n_actions: int, table):
         self.horizon = horizon
         if isinstance(table, dict):
+            table = {(_check_index("policy key", s, low=None),
+                      _check_index("policy key", t, low=None)): probs
+                     for (s, t), probs in table.items()}
             rows = np.full((max((s for s, _ in table), default=-1) + 1, horizon, n_actions), np.nan)
             for (s, t), probs in table.items():
                 if s < 0 or not 0 <= t < horizon or np.shape(probs) != (n_actions,):
@@ -295,13 +300,13 @@ def random_game(n_states: int, n_row_actions: int, n_col_actions: int,
     transition is a normalized positive draw over `branching` distinct
     successor states chosen uniformly.
     """
-    if min(n_states, n_row_actions, n_col_actions, branching) < 1:
-        raise ValueError("all counts must be >= 1")
-    if branching > n_states:
-        raise ValueError(f"branching {branching} exceeds n_states {n_states}")
+    for name, count in (("n_states", n_states), ("n_row_actions", n_row_actions),
+                        ("n_col_actions", n_col_actions)):
+        _check_index(name, count, low=1)
+    _check_index("branching", branching, n_states + 1, low=1)
     if not 0.0 <= payoff_scale < np.inf:  # false for NaN
         raise ValueError(f"payoff_scale must be finite and >= 0, got {payoff_scale}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_index("seed", seed))
     shape = (n_states, n_row_actions, n_col_actions)
     payoffs1 = rng.uniform(-payoff_scale, payoff_scale, shape)
     if zero_sum:

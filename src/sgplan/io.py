@@ -215,6 +215,11 @@ def load_game(path) -> StochasticGame:
     raw_transitions = _require(doc, "transitions", path)
     transitions = np.zeros((n_states, n1, n2, n_states))
     try:
+        level = [raw_transitions]
+        for axis, n in (("states", n_states), ("row actions", n1), ("col actions", n2)):
+            for k in {len(x) for x in level} - {n}:
+                raise GameFileError(f"{path}: transitions has {k} {axis}, expected {n}")
+            level = [y for x in level for y in x]
         for s, i, j in itertools.product(range(n_states), range(n1), range(n2)):
             for n, entry in enumerate(raw_transitions[s][i][j]):
                 to, p = entry["to"], entry["p"]

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -75,10 +76,17 @@ def _by_player(player: int, first, second):
     return first if player == 1 else second
 
 
-def _check_index(what: str, value: int, n: int) -> int:
-    """value if it indexes one of n items (0..n-1, no wrap-around)."""
-    if not 0 <= value < n:
-        raise ValueError(f"{what} {value} not in 0..{n - 1}")
+def _check_index(what: str, value, n: int | None = None, low: int | None = 0) -> int:
+    """The one integer rule: value as an int in low..n-1, >= low without n, or
+    any int.  A float or a string is a TypeError, never truncated or parsed."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+    if n is not None and not low <= value < n:
+        raise ValueError(f"{what} {value} not in {low}..{n - 1}")
+    if n is None and low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
     return value
 
 

@@ -39,7 +39,6 @@ state changes no bit at the reachable ones.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from itertools import islice
@@ -48,8 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NodeBudgetExceeded
-from .finite_planner import (_check_horizon, _tabulate, backup_sweeps, nash_certificate,
-                             select_level)
+from .finite_planner import _tabulate, backup_sweeps, nash_certificate, select_level
 from .game_model import GenerativeModel, StochasticGame, TimeDependentPolicy, as_generative
 from .matrix_games import (MixedStrategy, SelectionFunction, StrategyProfile, _by_player,
                            _check_index, nash_select)
@@ -76,16 +74,9 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _integer(name: str, value) -> int:
-    try:  # a float or a string is never truncated or parsed
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _root_seed(seed) -> int:
     """A seed or `derive_seed` field under SEED_RULE: any integer, taken mod 2**64."""
-    return _integer("seed", seed) & _MASK64
+    return _check_index("seed", seed, low=None) & _MASK64
 
 
 def derive_seed(parent: int, *fields: int) -> int:
@@ -163,11 +154,6 @@ def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: i
     return children, child_seeds
 
 
-def _check_time_remaining(t: int) -> None:
-    if t < 0:
-        raise ValueError(f"time remaining must be >= 0, got {t}")
-
-
 def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
                 selection: SelectionFunction = nash_select,
                 node_budget: int | None = None) -> SparsePlanResult:
@@ -178,13 +164,11 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     before any work when the tree has more than node_budget nodes, and
     SelectionFailure if the selection function fails at some node.
     """
-    m = _integer("sample count m", m)
-    if m < 1:
-        raise ValueError(f"sample count m must be >= 1, got {m}")
-    _check_time_remaining(t)
+    m = _check_index("sample count m", m, low=1)
+    t = _check_index("time remaining", t)
     explicit_game = getattr(model, "game", None)
-    if explicit_game is not None:
-        state = explicit_game.state(state)
+    state = (_check_index("state", state, low=None) if explicit_game is None
+             else explicit_game.state(state))
     seed = _root_seed(seed)
     root_stage = model.payoffs(state)
     scale = (explicit_game.r_max if explicit_game is not None
@@ -195,7 +179,7 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     n1, n2 = model.n_row_actions, model.n_col_actions
     width = n1 * n2 * m
     nodes = sum(width ** k for k in range(t + 1))
-    if node_budget is not None and nodes > node_budget:
+    if node_budget is not None and nodes > _check_index("node_budget", node_budget):
         raise NodeBudgetExceeded(
             f"sparse recursion exceeded node budget {node_budget} "
             f"(root state={state}, t={t}, m={m})")
@@ -209,10 +193,11 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
         uniq, inverse = _distinct(states, explicit_game)
         if tt == 0:
             new = [s for s in uniq.tolist() if s not in stage_cache]
-            stages = [model.payoffs(s) for s in new]
-            q1 = np.reshape([g.payoff1 for g in stages], (-1, n1, n2))
-            q2 = np.reshape([g.payoff2 for g in stages], (-1, n1, n2))
-            stage_cache.update(zip(new, zip(q1, q2, *select_level(selection, q1, q2, new, 0))))
+            if new:  # every leaf state may already be selected
+                stages = [model.payoffs(s) for s in new]
+                q1 = np.array([g.payoff1 for g in stages])
+                q2 = np.array([g.payoff2 for g in stages])
+                stage_cache.update(zip(new, zip(q1, q2, *select_level(selection, q1, q2, new, 0))))
             q1, q2, rows, cols, v1, v2 = map(np.array, zip(*map(stage_cache.get, uniq.tolist())))
             return q1, q2, rows, cols, v1[inverse], v2[inverse]
         means = np.empty((2, states.size, n1, n2))
@@ -248,7 +233,7 @@ def exact_sparse_game(game: StochasticGame, state: int, t: int,
     order.  It selects at every state of each level up to t, so a selection
     that fails at a state the root cannot reach raises SelectionFailure too;
     nodes_expanded counts only the (state, t) nodes reachable from the root."""
-    _check_time_remaining(t)
+    t = _check_index("time remaining", t)
     state = game.state(state)
     reach, nodes = np.arange(game.n_states) == state, 1
     for _ in range(t):
@@ -265,8 +250,7 @@ def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
     for name, value in (("epsilon", epsilon), ("c", c)):
         if not 0.0 < value < math.inf:  # false for NaN
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if t < 1 or n < 1:
-        raise ValueError(f"require t >= 1, n >= 1, got t={t}, n={n}")
+    t, n = _check_index("t", t, low=1), _check_index("n", n, low=1)
     horizon_term = (t ** 3 / epsilon ** 2) * max(0.0, math.log(t / epsilon))
     action_term = t * max(0.0, math.log(n / epsilon))
     return math.ceil(c * (horizon_term + action_term)) + 1
@@ -283,22 +267,22 @@ class InducedPolicyPair:
     def __init__(self, model: GenerativeModel, m: int, horizon: int, root_seed,
                  selection: SelectionFunction = nash_select,
                  node_budget: int | None = None):
-        _check_horizon(horizon)
         self.model = model
-        self.m = m
-        self.horizon = horizon
+        self.horizon = _check_index("horizon", horizon, low=1)
+        self.m = _check_index("sample count m", m, low=1)
         self.seed = _root_seed(root_seed)
         self.selection = selection
-        self.node_budget = node_budget
+        self.node_budget = (node_budget if node_budget is None
+                            else _check_index("node_budget", node_budget))
         self._plans: dict[tuple[int, int], SparsePlanResult] = {}
 
     def plan(self, state: int, t: int) -> SparsePlanResult:
-        _check_index("time remaining", t, self.horizon)
-        if (state, t) not in self._plans:
-            self._plans[state, t] = sparse_game(self.model, state, t, self.m,
-                                                derive_seed(self.seed, state, t),
-                                                self.selection, self.node_budget)
-        return self._plans[state, t]
+        key = (_check_index("state", state, low=None),
+               _check_index("time remaining", t, self.horizon))
+        if key not in self._plans:
+            self._plans[key] = sparse_game(self.model, *key, self.m, derive_seed(self.seed, *key),
+                                           self.selection, self.node_budget)
+        return self._plans[key]
 
     def strategy(self, player: int, state: int, t: int) -> MixedStrategy:
         half = _by_player(player, "row", "col")
@@ -352,7 +336,7 @@ def gap_experiment(game: StochasticGame, horizon: int,
     With independent_seeds each player plans from an unrelated seed
     instead of the shared run -- an exploration mode, no guarantee claimed.
     """
-    _check_horizon(horizon)
+    horizon = _check_index("horizon", horizon, low=1)
     start = game.state(start)
     model = as_generative(game)
     oracle = _tabulate(game, horizon,
@@ -363,11 +347,12 @@ def gap_experiment(game: StochasticGame, horizon: int,
     rows = []
     for m in m_list:
         for seed in seeds:
+            seed = _check_index("seed", seed, low=None)
             if m == "exact":
                 if exact_gaps is None:  # the oracle ignores the seed: certify it once
                     exact_gaps = nash_certificate(game, oracle.policy1, oracle.policy2,
                                                   horizon, start)
-                rows.append(GapRow(m, _integer("seed", seed), *exact_gaps, 0.0, 0.0,
+                rows.append(GapRow(m, seed, *exact_gaps, 0.0, 0.0,
                                    horizon * game.n_states))
                 continue
             pair = InducedPolicyPair(model, m, horizon, seed, selection, node_budget)
@@ -382,5 +367,5 @@ def gap_experiment(game: StochasticGame, horizon: int,
             root = pair.plan(start, horizon - 1)
             qerr1, qerr2 = (abs(q - e) for q, e in zip(root.q_hats, exact_root))
             gap1, gap2 = nash_certificate(game, pol1, pol2, horizon, start)
-            rows.append(GapRow(m, _integer("seed", seed), gap1, gap2, qerr1, qerr2, nodes))
+            rows.append(GapRow(pair.m, seed, gap1, gap2, qerr1, qerr2, nodes))
     return rows

@@ -1,18 +1,26 @@
 """State, player, time-remaining and action arguments: None names the start
 state, and a state, player, time or action outside the game is a ValueError
 at every entry point, never an index that numpy wraps around or clips.
+Every integer argument is an integer: a float or a string is a TypeError
+naming the argument, and a numpy integer acts as the Python int.
 Non-finite numeric arguments and policies over another action count than
 the game's are input errors too."""
+
+import pickle
+import re
 
 import numpy as np
 import pytest
 
-from sgplan import (DimensionMismatch, MatrixGame, MixedStrategy, StationaryPolicy,
-                    StochasticGame, as_generative, best_response, best_response_dp,
-                    exact_sparse_game, finite_vi, gap_experiment, induced_policy, infinite_vi,
-                    nash_certificate, policy_value, random_game, save_game, save_policy_pair,
-                    security_certificate, security_level)
+from sgplan import (DimensionMismatch, GenerativeModel, MatrixGame, MixedStrategy,
+                    StationaryPolicy, StochasticGame, TimeDependentPolicy, as_generative,
+                    best_response, best_response_dp, derive_seed, exact_sparse_game, finite_vi,
+                    gap_experiment, induced_policy, infinite_vi, nash_certificate,
+                    nash_mode_probe, policy_value, random_game, sample_size, save_game,
+                    save_policy_pair, security_certificate, security_level, sparse_game)
 from sgplan.cli import main
+
+from conftest import STANDARD_FIXTURE_SEED
 
 BAD_STATES = [-1, 3]  # the fixture game has states 0..2
 BAD_PLAYERS = [0, 3]
@@ -294,3 +302,94 @@ class TestPolicyActionCounts:
         assert main(["certify", "--game", "g.json", "--horizon", "2", "--policy", "p.json"]) == 1
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: policy has 3 actions, the game has 2\n")
+
+
+GAME = random_game(3, 2, 2, 2, 1.0, seed=STANDARD_FIXTURE_SEED)
+MODEL = as_generative(GAME)
+SOLVED = finite_vi(GAME, 2)
+POLICY = TimeDependentPolicy(2, 2, {(0, 0): [1.0, 0.0], (1, 1): [0.5, 0.5]})
+
+
+class Opaque(GenerativeModel):
+    """MODEL without its `game`, so no entry point knows its state count."""
+
+    n_row_actions = n_col_actions = 2
+
+    def payoffs(self, state):
+        return MODEL.payoffs(state)
+
+    def sample_from_uniform_many(self, state, i, j, us):
+        return MODEL.sample_from_uniform_many(state, i, j, us)
+
+
+# entry point: (the argument's name in messages, a valid value, a call on the value)
+INTEGER_ARGUMENTS = {
+    "state": ("state", 1, lambda v: GAME.state(v)),
+    "start_state": ("start_state", 2, lambda v: StochasticGame(
+        GAME.payoffs1, GAME.payoffs2, GAME.transitions, start_state=v)),
+    "stage_game": ("state", 1, lambda v: GAME.stage_game(v)),
+    "policy_value-start": ("state", 1,
+                           lambda v: policy_value(GAME, SOLVED.policy1, SOLVED.policy2, 2, v)),
+    "policy_value-horizon": ("horizon", 2,
+                             lambda v: policy_value(GAME, SOLVED.policy1, SOLVED.policy2, v)),
+    "best_response_dp-horizon": ("horizon", 2,
+                                 lambda v: best_response_dp(GAME, SOLVED.policy2, v, 1)),
+    "finite_vi-horizon": ("horizon", 2, lambda v: finite_vi(GAME, v)),
+    "BackupTable-state": ("state", 1, lambda v: SOLVED.table.value(1, v, 0)),
+    "BackupTable-t": ("time remaining", 1, lambda v: SOLVED.table.q(2, 0, v)),
+    "pure": ("action", 1, lambda v: MixedStrategy.pure(2, v)),
+    "model-state": ("state", 1, lambda v: MODEL.payoffs(v)),
+    "model-row-action": ("row action", 1, lambda v: MODEL.distribution(0, v, 0)),
+    "model-col-action": ("col action", 1, lambda v: MODEL.sample_from_uniform(0, 0, v, 0.5)),
+    "sparse_game-state": ("state", 1, lambda v: sparse_game(MODEL, v, 1, 2, 0)),
+    "sparse_game-generic-state": ("state", 1, lambda v: sparse_game(Opaque(), v, 1, 2, 0)),
+    "sparse_game-t": ("time remaining", 1, lambda v: sparse_game(MODEL, 0, v, 2, 0)),
+    "sparse_game-m": ("sample count m", 2, lambda v: sparse_game(MODEL, 0, 1, v, 0)),
+    "sparse_game-seed": ("seed", 1, lambda v: sparse_game(MODEL, 0, 1, 2, v)),
+    "sparse_game-node_budget": ("node_budget", 9,
+                                lambda v: sparse_game(MODEL, 0, 1, 2, 0, node_budget=v)),
+    "exact_sparse_game-t": ("time remaining", 1, lambda v: exact_sparse_game(GAME, 0, v)),
+    "induced_policy-m": ("sample count m", 2, lambda v: induced_policy(MODEL, v, 2, 0)),
+    "induced_policy-horizon": ("horizon", 2, lambda v: induced_policy(MODEL, 2, v, 0)),
+    "induced_policy-seed": ("seed", 1, lambda v: induced_policy(MODEL, 2, 2, v)),
+    "induced_policy-node_budget": ("node_budget", 9, lambda v: induced_policy(
+        MODEL, 2, 2, 0, node_budget=v).plan(0, 1)),
+    "plan-state": ("state", 1, lambda v: induced_policy(MODEL, 2, 2, 0).plan(v, 1)),
+    "plan-t": ("time remaining", 1, lambda v: induced_policy(MODEL, 2, 2, 0).plan(0, v)),
+    "derive_seed-parent": ("seed", 1, lambda v: derive_seed(v, 2)),
+    "derive_seed-field": ("seed", 1, lambda v: derive_seed(2, v)),
+    "gap_experiment-horizon": ("horizon", 2, lambda v: gap_experiment(GAME, v, [1], [0])),
+    "gap_experiment-m": ("sample count m", 1, lambda v: gap_experiment(GAME, 2, [v], [0])),
+    "gap_experiment-seed": ("seed", 1, lambda v: gap_experiment(GAME, 2, [1, "exact"], [v])),
+    "infinite_vi-max_iter": ("sweep limit max_iter", 3,
+                             lambda v: infinite_vi(GAME, 0.5, max_iter=v)),
+    "nash_mode_probe-max_iter": ("sweep limit max_iter", 3,
+                                 lambda v: nash_mode_probe(GAME, 0.5, max_iter=v)),
+    "random_game-n_states": ("n_states", 3, lambda v: random_game(v, 2, 2, 2, 1.0, seed=7)),
+    "random_game-n_row_actions": ("n_row_actions", 2,
+                                  lambda v: random_game(3, v, 2, 2, 1.0, seed=7)),
+    "random_game-n_col_actions": ("n_col_actions", 2,
+                                  lambda v: random_game(3, 2, v, 2, 1.0, seed=7)),
+    "random_game-branching": ("branching", 2, lambda v: random_game(3, 2, 2, v, 1.0, seed=7)),
+    "random_game-seed": ("seed", 7, lambda v: random_game(3, 2, 2, 2, 1.0, seed=v)),
+    "sample_size-t": ("t", 4, lambda v: sample_size(v, 0.1, 2)),
+    "sample_size-n": ("n", 2, lambda v: sample_size(4, 0.1, v)),
+    "policy-probs-key": ("policy key", 1, lambda v: POLICY.probs(v, 1)),
+    "policy-dict-key": ("policy key", 1,
+                        lambda v: TimeDependentPolicy(2, 2, {(v, 0): [1.0, 0.0]})),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", np.float64(1)], ids=repr)
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+    def test_non_integer_rejected_by_name(self, entry, bad):
+        name, _, call = INTEGER_ARGUMENTS[entry]
+        with pytest.raises(TypeError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            call(bad)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+    def test_numpy_integer_acts_as_int(self, entry, kind):
+        _, good, call = INTEGER_ARGUMENTS[entry]
+        assert pickle.dumps(call(kind(good))) == pickle.dumps(call(good))

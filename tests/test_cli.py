@@ -83,6 +83,24 @@ class TestGameFiles:
         sums = game.transitions.sum(axis=3)
         assert np.abs(sums - 1.0).max() <= 1e-12
 
+    @pytest.mark.parametrize("grow, message", [
+        (lambda tr: tr.append(tr[0]), "transitions has 3 states, expected 2"),
+        (lambda tr: tr[1][0].append(tr[1][0][0]), "transitions has 3 col actions, expected 2"),
+    ], ids=["extra-state", "extra-column-list"])
+    def test_transitions_larger_than_header_rejected(self, tmp_path, grow, message):
+        save_game(random_game(2, 2, 2, 2, 1.0, seed=1), tmp_path / "g.json")
+        doc = json.loads((tmp_path / "g.json").read_text())
+        grow(doc["transitions"])
+        (tmp_path / "g.json").write_text(json.dumps(doc))
+        with pytest.raises(GameFileError) as info:
+            load_game(tmp_path / "g.json")
+        assert str(info.value) == f"{tmp_path / 'g.json'}: {message}"
+        half = TimeDependentPolicy(2, 2, np.full((2, 2, 2), 0.5))
+        save_policy_pair(half, half, tmp_path / "p.json")
+        r = run_cli(["certify", "--game", "g.json", "--horizon", "2", "--policy", "p.json"],
+                    tmp_path)
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: g.json: {message}\n")
+
     def test_invalid_json_reports_location(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text("{not json")

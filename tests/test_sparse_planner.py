@@ -273,6 +273,20 @@ class TestSparseGame:
         with pytest.raises(SelectionFailure, match=r"t=0: boom"):
             sparse_game(model, 0, 2, 2, seed=0, selection=refuse)
 
+    def test_no_empty_leaf_selection(self, three_state_game, monkeypatch):
+        # at m = 64 every leaf state of a later block is already selected
+        sizes = []
+
+        def select_level(selection, q1, q2, states, t):
+            sizes.append(len(q1))
+            return real(selection, q1, q2, states, t)
+        real = sparse_planner.select_level
+        monkeypatch.setattr(sparse_planner, "select_level", select_level)
+        model = as_generative(three_state_game)
+        for state in range(3):
+            sparse_game(model, state, 2, 64, seed=0)
+        assert sizes and 0 not in sizes
+
     def test_bit_identical_reruns(self, three_state_game):
         model = as_generative(three_state_game)
         a = sparse_game(model, 0, 2, 3, seed=77)
