@@ -252,7 +252,8 @@ class TimeDependentPolicy(_DensePolicy):
     _missing = "no strategy stored for (state={}, t={})"
 
     def __init__(self, horizon: int, n_actions: int, table):
-        self.horizon = horizon
+        horizon = self.horizon = _check_index("horizon", horizon)
+        n_actions = _check_index("n_actions", n_actions)
         if isinstance(table, dict):
             table = {(_check_index("policy key", s, low=None),
                       _check_index("policy key", t, low=None)): probs
@@ -306,6 +307,8 @@ def random_game(n_states: int, n_row_actions: int, n_col_actions: int,
     _check_index("branching", branching, n_states + 1, low=1)
     if not 0.0 <= payoff_scale < np.inf:  # false for NaN
         raise ValueError(f"payoff_scale must be finite and >= 0, got {payoff_scale}")
+    if payoff_scale > np.finfo(float).max / 2:
+        raise ValueError(f"payoff_scale {payoff_scale} overflows the payoff range 2 * payoff_scale")
     rng = np.random.default_rng(_check_index("seed", seed))
     shape = (n_states, n_row_actions, n_col_actions)
     payoffs1 = rng.uniform(-payoff_scale, payoff_scale, shape)

@@ -21,14 +21,14 @@ vertex pairs of the best-response polytopes, in a fixed order too.
 
 `nash_select` and `security_select` carry an array form, `array_form`, that
 selects a whole (K, n1, n2) stack with the same output bits, for
-`finite_planner.select_level`.  The Nash form, `_nash_stack`, keeps each
-game's first accepted pair of the same walk and leaves a game with none to
-`nash_select`, so to the vertex fallback.  The security form,
-`_security_stack`, solves a level's maximin LPs with one lockstep simplex
-call (`simplex.maximin_stack`), both players in one call when their
-matrices have one shape, and checks every duality gap at once; a game the
-stack flags or that fails the check takes the per-game `_maximin`, and so
-its re-solve by enumeration.
+`finite_planner.select_level`, and leaves each game it cannot settle to the
+per-game selection.  The Nash form, `_nash_stack`, keeps each game's first
+accepted pair of the same walk, so a game with none takes the vertex
+fallback.  The security form, `_security_stack`, solves a level's maximin
+LPs with one lockstep simplex call (`simplex.maximin_stack`), both players
+in one call when their matrices have one shape, and checks every duality
+gap at once, so a game the stack flags or the check rejects takes
+`_maximin` and its re-solve by enumeration.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _frozen(arr):
 
 def _by_player(player: int, first, second):
     """first for player 1 (the row player), second for player 2."""
-    if player not in (1, 2):
+    if _check_index("player", player, low=None) not in (1, 2):
         raise ValueError(f"player must be 1 or 2, got {player}")
     return first if player == 1 else second
 
@@ -288,19 +288,18 @@ def security_select(game: MatrixGame) -> StrategyProfile:
     return StrategyProfile.of(alpha, beta, s1, s2)
 
 
-def _security_stack(m1, m2, rows, cols, values1, values2) -> list[int]:
+def _security_stack(m1, m2, rows, cols, values1, values2) -> np.ndarray:
     """Array form of `security_select` over a stack of games (K, n1, n2) with
     finite payoffs: the selection of game k goes to rows[k], cols[k],
-    values1[k] and values2[k].  Returns the games whose maximin raised, left
-    to `security_select` itself.
+    values1[k] and values2[k].  Returns, as `_nash_stack` does, the games
+    left to `security_select`: those the stack flags or the check rejects.
 
     One `maximin_stack` call solves a player's whole stack, or both players'
     when payoff1 and transpose(payoff2) have one shape.  The values and
     duality checks are stacked matrix products over m1 and the transposed
     view of m2, so each game's product runs on a matrix of the shape and
     strides `_maximin` is given (m1[k], m2[k].T) and keeps its bits; on a
-    contiguous copy of the transpose they would move.  A game the stack
-    flags, or that fails the check, takes `_maximin` itself.
+    contiguous copy of the transpose they would move.
     """
     m2t = m2.transpose(0, 2, 1)
     if m1.shape == m2t.shape:
@@ -309,20 +308,15 @@ def _security_stack(m1, m2, rows, cols, values1, values2) -> list[int]:
         solved = [(alpha[:n], beta[:n], ok[:n]), (alpha[n:], beta[n:], ok[n:])]
     else:
         solved = [maximin_stack(m1), maximin_stack(m2t)]
-    failed = set()
+    good = np.ones(len(m1), dtype=bool)
     for mats, strategies, values, (alpha, beta, ok) in zip(
             (m1, m2t), (rows, cols), (values1, values2), solved):
         value = (alpha[:, None, :] @ mats)[:, 0, :].min(axis=1)
         gap = (mats @ beta[:, :, None])[:, :, 0].max(axis=1) - value
         scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)  # _scale of each game
-        good = ok & (gap <= _DUALITY_TOL * scale)
-        strategies[good], values[good] = alpha[good], value[good]
-        for k in np.flatnonzero(~good):
-            try:
-                strategies[k], _, values[k] = _maximin(mats[k])
-            except SgError:
-                failed.add(int(k))
-    return sorted(failed)
+        good &= ok & (gap <= _DUALITY_TOL * scale)
+        strategies[...], values[...] = alpha, value
+    return np.flatnonzero(~good)
 
 
 security_select.array_form = _security_stack

@@ -73,7 +73,7 @@ def onto_one_two(mat):
     Raises SgError when the range of mat overflows float64.
     """
     low = mat.min()
-    span = float(mat.max()) - float(low)  # a Python float: inf, not a warning, on overflow
+    span = float(mat.max()) - float(low)  # a Python float overflows to inf, silently
     if span == math.inf:
         raise SgError(f"payoff range {float(low)!r} .. {float(mat.max())!r} overflows float64")
     return (mat - low) / (span or 1.0) + 1.0

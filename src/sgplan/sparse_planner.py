@@ -39,7 +39,6 @@ state changes no bit at the reachable ones.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -81,7 +80,7 @@ def _root_seed(seed) -> int:
 
 def derive_seed(parent: int, *fields: int) -> int:
     """Fold integer fields into a parent seed, one mix per field."""
-    h = np.array([_root_seed(parent)], dtype=np.uint64)  # 1-element: 0-d would warn on overflow
+    h = np.array([_root_seed(parent)], dtype=np.uint64)  # 1-element: 0-d would signal on overflow
     for f in fields:
         h = _fold(h, [_root_seed(f)])
     return int(h[0])
@@ -162,7 +161,8 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     Deterministic in (model, state, t, m, seed).  Raises ValueError for a
     state outside `model.game` when the model has one, NodeBudgetExceeded
     before any work when the tree has more than node_budget nodes, and
-    SelectionFailure if the selection function fails at some node.
+    SelectionFailure if the selection function fails at some node.  The
+    accuracy guarantees scale with the payoff bound, such as `game.r_max`.
     """
     m = _check_index("sample count m", m, low=1)
     t = _check_index("time remaining", t)
@@ -170,12 +170,6 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     state = (_check_index("state", state, low=None) if explicit_game is None
              else explicit_game.state(state))
     seed = _root_seed(seed)
-    root_stage = model.payoffs(state)
-    scale = (explicit_game.r_max if explicit_game is not None
-             else max(np.abs(root_stage.payoff1).max(), np.abs(root_stage.payoff2).max()))
-    if scale > 1.0:
-        warnings.warn(f"payoff bound {scale:g} exceeds 1; accuracy guarantees "
-                      "scale with the bound", stacklevel=2)
     n1, n2 = model.n_row_actions, model.n_col_actions
     width = n1 * n2 * m
     nodes = sum(width ** k for k in range(t + 1))
@@ -251,9 +245,12 @@ def sample_size(t: int, epsilon: float, n: int, c: float = 1.0) -> int:
         if not 0.0 < value < math.inf:  # false for NaN
             raise ValueError(f"{name} must be finite and positive, got {value}")
     t, n = _check_index("t", t, low=1), _check_index("n", n, low=1)
-    horizon_term = (t ** 3 / epsilon ** 2) * max(0.0, math.log(t / epsilon))
-    action_term = t * max(0.0, math.log(n / epsilon))
-    return math.ceil(c * (horizon_term + action_term)) + 1
+    try:  # a zero epsilon ** 2 or a term beyond float64
+        horizon_term = (t ** 3 / epsilon ** 2) * max(0.0, math.log(t / epsilon))
+        action_term = t * max(0.0, math.log(n / epsilon))
+        return math.ceil(c * (horizon_term + action_term)) + 1
+    except ArithmeticError:
+        raise ValueError(f"sample size overflows float64 at t={t}, epsilon={epsilon}, n={n}, c={c}")
 
 
 class InducedPolicyPair:

@@ -139,8 +139,6 @@ def _oracle_fixture_battery():
     return fixtures
 
 
-# the point-mass fixtures with payoffs above 1 plan with the payoff-bound warning
-@pytest.mark.filterwarnings("ignore:payoff bound [0-9]+ exceeds 1; accuracy guarantees:UserWarning")
 def test_criterion_5_sparse_oracle_equivalence():
     # exact-expectation recursion == value-iteration backups entrywise;
     # sampling a point mass == the exact oracle for every m

@@ -6,6 +6,7 @@ naming the argument, and a numpy integer acts as the Python int.
 Non-finite numeric arguments and policies over another action count than
 the game's are input errors too."""
 
+import math
 import pickle
 import re
 
@@ -261,6 +262,12 @@ class TestNumericArguments:
         (["sample-size", "--c", "nan"], "c must be finite and positive, got nan"),
         (["sample-size", "--epsilon", "nan"], "epsilon must be finite and positive, got nan"),
         (["sample-size", "--epsilon", "inf"], "epsilon must be finite and positive, got inf"),
+        (["generate", "--scale", "1e308"],
+         "payoff_scale 1e+308 overflows the payoff range 2 * payoff_scale"),
+        (["sample-size", "--epsilon", "1e-200"],
+         "sample size overflows float64 at t=4, epsilon=1e-200, n=2, c=1.0"),
+        (["sample-size", "--c", "1e308"],
+         "sample size overflows float64 at t=4, epsilon=0.1, n=2, c=1e+308"),
     ])
     def test_cli_exits_one(self, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -271,6 +278,33 @@ class TestNumericArguments:
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
         assert not (tmp_path / "g.json").exists()
+
+
+class TestFloatRanges:
+    """A float argument that takes a result beyond float64 is a ValueError
+    naming the arguments (at the CLI: TestNumericArguments)."""
+
+    @pytest.mark.parametrize("args", [(2, 1e-200, 2), (2, 1e-160, 2), (2, 1e300, 2),
+                                      (2, 0.1, 2, 1e308)], ids=repr)
+    def test_sample_size_rejects(self, args):
+        t, epsilon, n, c = args + (1.0,) * (4 - len(args))
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample size overflows float64 at t={t}, epsilon={epsilon}, n={n}, c={c}")):
+            sample_size(*args)
+
+    @pytest.mark.parametrize("args", [(4, 0.1, 2), (2, 1e-150, 2), (3, 1e150, 5, 0.5),
+                                      (1, 0.25, 9, 1e300)], ids=repr)
+    def test_sample_size_in_range_unchanged(self, args):
+        t, epsilon, n, c = args + (1.0,) * (4 - len(args))
+        horizon_term = (t ** 3 / epsilon ** 2) * max(0.0, math.log(t / epsilon))
+        action_term = t * max(0.0, math.log(n / epsilon))
+        assert sample_size(*args) == math.ceil(c * (horizon_term + action_term)) + 1
+
+    def test_random_game_scale_limit(self):
+        top = np.finfo(float).max / 2
+        assert random_game(2, 2, 2, 1, top, seed=0).r_max == top
+        with pytest.raises(ValueError, match=r"^payoff_scale 8\.98846567431158e\+307 overflows"):
+            random_game(2, 2, 2, 1, np.nextafter(top, np.inf), seed=0)
 
 
 class TestPolicyActionCounts:
@@ -377,6 +411,17 @@ INTEGER_ARGUMENTS = {
     "policy-probs-key": ("policy key", 1, lambda v: POLICY.probs(v, 1)),
     "policy-dict-key": ("policy key", 1,
                         lambda v: TimeDependentPolicy(2, 2, {(v, 0): [1.0, 0.0]})),
+    "policy-horizon": ("horizon", 2, lambda v: TimeDependentPolicy(v, 2, {(0, 0): [1.0, 0.0]})),
+    "policy-n_actions": ("n_actions", 2,
+                         lambda v: TimeDependentPolicy(2, v, {(0, 0): [1.0, 0.0]})),
+    "best_response-player": ("player", 2, lambda v: best_response(
+        GAME.stage_game(0), v, MixedStrategy.uniform(2))),
+    "payoff-player": ("player", 1, lambda v: GAME.stage_game(0).payoff(v)),
+    "best_response_dp-player": ("player", 1,
+                                lambda v: best_response_dp(GAME, SOLVED.policy2, 2, v)),
+    "BackupTable-player": ("player", 2, lambda v: SOLVED.table.q(v, 0, 0)),
+    "induced_strategy-player": ("player", 1,
+                                lambda v: induced_policy(MODEL, 2, 2, 0).strategy(v, 0, 1)),
 }
 
 

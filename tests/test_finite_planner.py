@@ -266,6 +266,28 @@ class TestSelectLevel:
             # the duality check sends near-singular games, mid-stack, to the re-solve
             assert resolved and all(m in q1[3:n - 3].tolist() for m in resolved)
 
+    def test_security_stack_leaves_the_near_singular_games(self):
+        # a near-singular basis leaves them to the per-game path, which re-solves them
+        q1, q2 = self.near_singular_level()
+        n = len(q1)
+        out = np.empty((n, 3)), np.empty((n, 3)), np.empty(n), np.empty(n)
+        assert matrix_games._security_stack(q1, q2, *out).tolist() == list(range(3, 11))
+        assert same_bits(select_level(security_select, q1, q2, range(n), 0),
+                         select_level(per_game(security_select), q1, q2, range(n), 0))
+
+    def test_failed_maximin_runs_once(self, monkeypatch):
+        # the level of test_failed_maximin_names_both_causes: the refused game runs
+        # _maximin once, in security_select, which raises at its first player
+        q1, q2 = np.random.default_rng(5).uniform(-1, 1, (2, 14, 9, 9))
+        q1[12, 0, 0], q1[12, 1, 1] = 1e308, -1e308
+        resolved = []
+        maximin = matrix_games._maximin
+        monkeypatch.setattr(matrix_games, "_maximin",
+                            lambda mat: resolved.append(mat.tolist()) or maximin(mat))
+        with pytest.raises(SelectionFailure, match=r"state=12, t=4"):
+            select_level(security_select, q1, q2, range(14), 4)
+        assert resolved == [q1[12].tolist()]
+
     def test_kernel_leaves_only_the_fallback_game(self):
         q1, q2 = self.fallback_level()
         assert np.linalg.det([[0, -1, -1], [1, 0, -1], [1, 1, 0]]) == 0.0

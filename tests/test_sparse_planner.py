@@ -8,7 +8,7 @@ from sgplan import (DegenerateGame, MatrixGame, NodeBudgetExceeded,
                     SelectionFailure, StochasticGame, TimeDependentPolicy, derive_seed,
                     exact_sparse_game, finite_vi, gap_experiment, induced_policy,
                     nash_certificate, nash_select, random_game, sample_size,
-                    single_state_game, sparse_game, as_generative)
+                    sparse_game, as_generative)
 from sgplan import sparse_planner
 from sgplan.game_model import GenerativeModel
 from sgplan.finite_planner import backup_sweeps
@@ -214,8 +214,7 @@ class TestSparseGame:
         model = as_generative(repeated_pd)
         exact = exact_sparse_game(repeated_pd, 0, 2)
         for m in (1, 2, 3, 5):
-            with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
-                got = sparse_game(model, 0, 2, m, seed=9 + m)
+            got = sparse_game(model, 0, 2, m, seed=9 + m)
             assert got.q_hats[0] == pytest.approx(exact.q_hats[0], abs=1e-10)
             assert got.q_hats[1] == pytest.approx(exact.q_hats[1], abs=1e-10)
             np.testing.assert_allclose(got.q_matrices[0], exact.q_matrices[0], atol=1e-10)
@@ -595,8 +594,7 @@ class TestInducedPolicy:
         model = as_generative(repeated_pd)
         want = finite_vi(repeated_pd, 3)
         pair = induced_policy(model, 2, 3, root_seed=5)
-        with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
-            pol1, pol2 = pair.materialize(range(1))
+        pol1, pol2 = pair.materialize(range(1))
         for t in range(3):
             np.testing.assert_allclose(pol1.probs(0, t), want.policy1.probs(0, t),
                                        atol=1e-9)
@@ -616,8 +614,7 @@ class TestInducedPolicy:
 
 class TestGapExperiment:
     def test_deterministic_game_all_gaps_tiny(self, repeated_pd):
-        with pytest.warns(UserWarning, match="payoff bound 5 exceeds 1; accuracy guarantees"):
-            rows = gap_experiment(repeated_pd, 3, [1, 2, 4], seeds=range(3))
+        rows = gap_experiment(repeated_pd, 3, [1, 2, 4], seeds=range(3))
         assert len(rows) == 9
         for row in rows:
             assert max(row.gap1, row.gap2) <= 1e-8
@@ -661,12 +658,6 @@ class TestGapExperiment:
         for small, large in zip(medians[1:], medians):
             ratio = large / small
             assert 2 / 3 <= ratio <= 6, medians
-
-    def test_payoff_bound_warning(self):
-        big = single_state_game(MatrixGame([[3, 0], [5, 1]], [[3, 5], [0, 1]]))
-        model = as_generative(big)
-        with pytest.warns(UserWarning, match="bound"):
-            sparse_game(model, 0, 1, 2, seed=0)
 
     def test_independent_seed_mode_runs(self, three_state_game):
         shared = gap_experiment(three_state_game, 2, [2], seeds=[1])
