@@ -108,22 +108,23 @@ def validate(game: StochasticGame) -> ValidationReport:
     tr = game.transitions
     for s, i, j, s2 in zip(*np.nonzero((tr < 0.0) | ~np.isfinite(tr))):
         out.append(Violation("transition-entry", (int(s), int(i), int(j), int(s2)),
-                             f"probability {tr[s, i, j, s2]!r} is negative or non-finite"))
+                             f"probability {float(tr[s, i, j, s2])!r} is negative or non-finite"))
     sums = tr.sum(axis=3)
     bad = np.abs(sums - 1.0) > 1e-12
     for s, i, j in zip(*np.nonzero(bad)):
         out.append(Violation("transition-sum", (int(s), int(i), int(j)),
-                             f"probabilities sum to {sums[s, i, j]!r}, not 1"))
+                             f"probabilities sum to {float(sums[s, i, j])!r}, not 1"))
     if not 0.0 <= game.r_max < np.inf:  # false for NaN
         out.append(Violation("r-max", (), f"r_max={game.r_max} is not a finite number >= 0"))
     for player, pay in ((1, game.payoffs1), (2, game.payoffs2)):
         for s, i, j in zip(*np.nonzero(~np.isfinite(pay))):
             out.append(Violation("payoff-finite", (player, int(s), int(i), int(j)),
-                                 f"payoff {pay[s, i, j]!r} is not finite"))
+                                 f"payoff {float(pay[s, i, j])!r} is not finite"))
         over = np.abs(pay) > game.r_max
         for s, i, j in zip(*np.nonzero(over)):
             out.append(Violation("payoff-bound", (player, int(s), int(i), int(j)),
-                                 f"|payoff| {abs(pay[s, i, j])!r} exceeds r_max={game.r_max}"))
+                                 f"|payoff| {abs(float(pay[s, i, j]))!r} exceeds "
+                                 f"r_max={game.r_max}"))
     if game.is_zero_sum and not np.array_equal(game.payoffs2, -game.payoffs1):
         out.append(Violation("zero-sum", (), "is_zero_sum set but payoffs2 != -payoffs1"))
     return ValidationReport(tuple(out))

@@ -4,10 +4,12 @@ Game files are dense on payoffs and sparse on transitions (zero-probability
 entries omitted).  Floats are serialized with Python's shortest round-trip
 decimal repr, so save -> load reproduces every entry exactly and reruns are
 byte-identical.  A JSON file holds exactly the bytes of
-`json.dumps(doc, indent=2) + "\n"`; the layout is rebuilt from the C
-encoder's compact output, which is valid because no string in these files
-holds a bracket, brace or comma.  Every write replaces its file whole or
-leaves it as it was.
+`json.dumps(doc, indent=2) + "\n"` for its document, written straight from
+the arrays field by field, with no document and no encoder.  That holds
+because every string is a fixed key, every float is written by its
+shortest repr as the encoder writes it, and NaN and the infinities as the
+encoder writes them (`NaN`, `Infinity`, `-Infinity`).  Every write
+replaces its file whole or leaves it as it was.
 """
 
 from __future__ import annotations
@@ -50,63 +52,36 @@ def _atomic_open(path, mode="w", **kwargs):
         raise
 
 
-#: compact bytes re-indented per `_write_chunk` call; its index arrays take
-#: 8 bytes per byte, so the chunk, not the document, bounds their memory
-#: (about 0.5 MB at 16 KiB)
-_CHUNK = 1 << 14
-_MARK = np.zeros(256, bool)
-_MARK[list(b"[]{},")] = True
-#: depth step of a structural byte: +1 opens, -1 closes, 0 for a comma
-_STEP = np.zeros(256, np.intp)
-_STEP[list(b"[{")], _STEP[list(b"]}")] = 1, -1
-#: _STEP of an opener or closer; 2, which no -step equals, for every other byte
-_BRACKET = np.where(_STEP != 0, _STEP, 2)
+#: the JSON encoder's text for each float whose repr is not JSON
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _write_json(doc: dict, path) -> None:
-    """Write `json.dumps(doc, indent=2) + "\n"` byte for byte, encoded by the
-    C encoder (the standard library encodes in Python whenever `indent` is
-    set).  The compact text is re-indented in chunks of `_CHUNK` bytes.
-
-    Precondition: no string in `doc` holds `[`, `]`, `{`, `}` or `,`, so
-    every such byte of the compact text is structural.  The files written
-    here hold only fixed keys as strings.
-    """
-    text = np.frombuffer(json.dumps(doc, separators=(",", ": ")).encode(), np.uint8)
-    with _atomic_open(path, "wb") as fh:
-        depth = 0
-        for lo in range(0, text.size, _CHUNK):
-            depth = _write_chunk(fh, text, lo, min(lo + _CHUNK, text.size), depth)
-        fh.write(b"\n")
+def _floats(values) -> list[str]:
+    """The JSON texts of the entries of a float array, in C order:
+    shortest-repr decimals, NaN and infinities as the JSON encoder writes
+    them."""
+    texts = list(map(float.__repr__, np.ravel(values).tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NON_FINITE.get(text, text) for text in texts]
+    return texts
 
 
-def _write_chunk(fh, text: np.ndarray, lo: int, hi: int, depth: int) -> int:
-    """Write `text[lo:hi]` in the `indent=2` layout, `depth` being the
-    nesting depth at `lo`; returns the depth at `hi`.
+def _nest(texts: list[str], depth: int, lengths) -> list[str]:
+    """The `indent=2` JSON texts of lists opening at nesting `depth`, the
+    k-th holding the next `lengths[k]` of `texts`, item texts at `depth + 1`."""
+    inner = "\n" + "  " * (depth + 1)
+    head, sep, tail = "[" + inner, "," + inner, inner[:-2] + "]"
+    ends = list(itertools.accumulate(lengths))
+    return [f"{head}{sep.join(texts[a:b])}{tail}" if a < b else "[]"  # one copy, not two
+            for a, b in zip([0] + ends, ends)]
 
-    A newline and two spaces per level of the depth after the byte go after
-    each opener and comma and before each closer, except inside an empty
-    `[]` or `{}`.  Bytes on either side of the chunk are read to find those.
-    """
-    chunk = text[lo:hi]
-    at = np.flatnonzero(_MARK[chunk])
-    step = _STEP[chunk[at]]
-    levels = np.cumsum(step)
-    levels += depth
-    close = step < 0
-    where = at + ~close  # the newline's place: after an opener or comma, before a closer
-    # the byte past an opener, the byte before a closer; side by side they are `[]` or `{}`
-    keep = _BRACKET[text[where + (lo - close)]] != -step
-    where, sizes = where[keep], 2 * levels[keep] + 1
-    ends = np.cumsum(sizes)
-    out = np.full(chunk.size + sizes.sum(), ord(" "), np.uint8)
-    out[where + ends - sizes] = ord("\n")
-    shift = np.zeros(chunk.size + 1, np.intp)
-    shift[where] = sizes
-    np.cumsum(shift, out=shift)
-    out[np.arange(chunk.size) + shift[:-1]] = chunk
-    fh.write(out)
-    return depth + int(step.sum())
+
+def _grid(texts: list[str], depth: int, shape: tuple) -> str:
+    """The `indent=2` JSON text of nested lists of `shape` holding `texts`
+    in C order, opening at nesting `depth`."""
+    for axis in reversed(range(len(shape))):
+        texts = _nest(texts, depth + axis, [shape[axis]] * math.prod(shape[:axis]))
+    return texts[0]
 
 
 def read_json_object(path) -> dict:
@@ -125,28 +100,23 @@ def read_json_object(path) -> dict:
 
 
 def save_game(game: StochasticGame, path) -> None:
-    n2, n12 = game.n_col_actions, game.n_row_actions * game.n_col_actions
-    n_rows = game.n_states * n12  # one row per (state, i, j)
-    s, i, j, to = np.nonzero(game.transitions)  # in row order, successors ascending
-    cuts = np.searchsorted(np.ravel_multi_index((s, i, j), game.transitions.shape[:3]),
-                           np.arange(n_rows + 1)).tolist()
-    entries = [{"to": t, "p": p} for t, p in zip(to.tolist(),
-                                                 game.transitions[s, i, j, to].tolist())]
-    rows = [entries[a:b] for a, b in zip(cuts, cuts[1:])]
-    transitions = [[rows[k:k + n2] for k in range(m, m + n12, n2)]
-                   for m in range(0, n_rows, n12)]
-    doc = {
-        "version": GAME_FILE_VERSION,
-        "n_states": game.n_states,
-        "n_row_actions": game.n_row_actions,
-        "n_col_actions": game.n_col_actions,
-        "start_state": game.start_state,
-        "r_max": float(game.r_max),
-        "payoffs1": game.payoffs1.tolist(),
-        "payoffs2": game.payoffs2.tolist(),
-        "transitions": transitions,
-    }
-    _write_json(doc, path)
+    at = np.flatnonzero(game.transitions)  # in row order, successors ascending
+    key, end = "\n" + "  " * 6, "\n" + "  " * 5  # an entry's keys and its closing brace
+    entries = [f'{{{key}"to": {t},{key}"p": {p}{end}}}' for t, p in zip(
+        (at % game.n_states).tolist(), _floats(game.transitions.reshape(-1)[at]))]
+    rows = _nest(entries, 4, np.count_nonzero(game.transitions, axis=3).ravel().tolist())
+    with _atomic_open(path, newline="") as fh:
+        fh.write(f'{{\n  "version": {GAME_FILE_VERSION},\n  "n_states": {game.n_states},\n'
+                 f'  "n_row_actions": {game.n_row_actions},\n'
+                 f'  "n_col_actions": {game.n_col_actions},\n'
+                 f'  "start_state": {game.start_state},\n'
+                 f'  "r_max": {_floats(float(game.r_max))[0]},\n  "payoffs1": ')
+        fh.write(_grid(_floats(game.payoffs1), 1, game.payoffs1.shape))
+        fh.write(',\n  "payoffs2": ')
+        fh.write(_grid(_floats(game.payoffs2), 1, game.payoffs2.shape))
+        fh.write(',\n  "transitions": ')
+        fh.write(_grid(rows, 1, game.transitions.shape[:3]))
+        fh.write("\n}\n")
 
 
 def _require(doc: dict, key: str, path, kind: str = "game"):
@@ -240,7 +210,7 @@ def load_game(path) -> StochasticGame:
     if np.any(bad):
         s, i, j = (int(x) for x in next(zip(*np.nonzero(bad))))
         raise GameFileError(f"{path}: probabilities at (s={s}, i={i}, j={j}) "
-                            f"sum to {sums[s, i, j]!r}, not 1")
+                            f"sum to {float(sums[s, i, j])!r}, not 1")
     drift = np.abs(sums - 1.0) > 1e-12
     if np.any(drift):
         transitions = transitions / sums[..., None]
@@ -266,11 +236,16 @@ def save_policy_pair(policy1: TimeDependentPolicy, policy2: TimeDependentPolicy,
                                 f"{shape} vs {policy2.strategies.shape[:2]}")
     if not all(shape):
         raise MissingPolicyEntry("policy has no entries")
-    rows, cols = policy1.dense(*shape), policy2.dense(*shape)
-    entries = [{"state": s, "t": t, "row_probs": rows[s, t].tolist(),
-                "col_probs": cols[s, t].tolist()} for s, t in np.ndindex(*shape)]
-    doc = {"horizon": shape[1], "entries": entries}
-    _write_json(doc, path)
+    rows, cols = (_nest(_floats(half), 3, [half.shape[2]] * math.prod(shape))
+                  for half in (policy1.dense(*shape), policy2.dense(*shape)))
+    key = "\n" + "  " * 3
+    with _atomic_open(path, newline="") as fh:
+        fh.write(f'{{\n  "horizon": {shape[1]},\n  "entries": [\n    ')
+        fh.write(",\n    ".join(
+            f'{{{key}"state": {s},{key}"t": {t},{key}"row_probs": {row},'
+            f'{key}"col_probs": {col}\n    }}'
+            for (s, t), row, col in zip(itertools.product(*map(range, shape)), rows, cols)))
+        fh.write("\n  ]\n}\n")
 
 
 def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
@@ -288,13 +263,9 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
         raise GameFileError(f"{path}: policy entries are malformed: {exc!r}") from exc
     halves = []
     for half, column in zip(("row_probs", "col_probs"), columns):
-        try:  # one pass over all of a half's probabilities; entry by entry only to name a fault
-            numbers = set(map(type, itertools.chain.from_iterable(column))) <= {int, float}
-        except TypeError:  # an entry that is not a list
-            numbers = False
-        halves.append([np.array(value, dtype=float) if numbers
-                       else _require_numbers(entry, half, f"{path} entry {n}", "policy")
-                       for n, (entry, value) in enumerate(zip(entries, column))])
+        halves.append(_probability_rows(path, entries, keys, horizon, half, column))
+        if not halves[-1].shape[1]:
+            raise GameFileError(f"policy file {path}: '{half}' lists no probabilities")
     for n, key in enumerate(keys):
         if type(key[0]) is not int or type(key[1]) is not int:  # raise the header rule's error
             for name in ("state", "t"):
@@ -308,13 +279,32 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
             s, t = key if extra else want
             problem = "is repeated or out of range" if extra else "is missing"
             raise GameFileError(f"{path}: policy entry (state={s}, t={t}) {problem}")
+    at = tuple(np.array(keys).T)  # a permutation of the grid, so every cell is written
     policies = []
     for half, rows in zip(("row_probs", "col_probs"), halves):
+        table = np.empty((n_states, horizon, rows.shape[1]))
+        table[at] = rows
         try:
-            policies.append(TimeDependentPolicy(horizon, rows[0].size, dict(zip(keys, rows))))
-        except ValueError as exc:  # not probability vectors, or not all of one length
+            policies.append(TimeDependentPolicy(horizon, rows.shape[1], table))
+        except ValueError as exc:  # not probability vectors
             raise GameFileError(f"policy file {path}: '{half}': {exc}") from exc
     return tuple(policies)
+
+
+def _probability_rows(path, entries, keys, horizon, half, column) -> np.ndarray:
+    """One half's probability lists as an (entries, actions) array, else a
+    GameFileError naming the first entry at fault."""
+    try:  # one pass over all of a half's probabilities; entry by entry only to name a fault
+        if set(map(type, itertools.chain.from_iterable(column))) <= {int, float}:
+            return np.array(column, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a non-list entry, ragged lists, a huge int
+        pass
+    shapes = [_require_numbers(entry, half, f"{path} entry {n}", "policy").shape
+              for n, entry in enumerate(entries)]
+    k = math.prod(shapes[0])
+    n = next(n for n, shape in enumerate(shapes) if shape != (k,))
+    raise GameFileError(f"policy file {path}: '{half}': policy entry {keys[n]} of shape "
+                        f"{shapes[n]} needs state >= 0, t < {horizon}, {k} actions")
 
 
 def _format_cell(value) -> str:

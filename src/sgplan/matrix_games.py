@@ -27,8 +27,8 @@ accepted pair of the same walk, so a game with none takes the vertex
 fallback.  The security form, `_security_stack`, solves a level's maximin
 LPs with one lockstep simplex call (`simplex.maximin_stack`), both players
 in one call when their matrices have one shape, and checks every duality
-gap at once, so a game the stack flags or the check rejects takes
-`_maximin` and its re-solve by enumeration.
+gap at once; a game the stack flags or the check rejects goes back to
+`select_level`, which selects it with the per-game `security_select`.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ class MixedStrategy:
         if not np.all(probs >= 0.0):  # also rejects NaN
             raise ValueError(f"negative or NaN probability in strategy: {probs}")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"strategy probabilities sum to {probs.sum()!r}, not 1")
+            raise ValueError(f"strategy probabilities sum to {float(probs.sum())!r}, not 1")
         object.__setattr__(self, "probs", _frozen(probs))
 
     def __len__(self):

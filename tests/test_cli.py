@@ -178,6 +178,33 @@ class TestPolicyFiles:
             load_policy_pair(path)
         assert str(info.value).startswith(f"policy file {path}: 'row_probs': ")
 
+    @pytest.mark.parametrize("half", ["row_probs", "col_probs"])
+    def test_empty_probabilities_rejected(self, tmp_path, half):
+        path = tmp_path / "p.json"
+        entry = {"state": 0, "t": 0, "row_probs": [1.0], "col_probs": [1.0], half: []}
+        path.write_text(json.dumps({"horizon": 1, "entries": [entry]}))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value) == f"policy file {path}: '{half}' lists no probabilities"
+
+    def test_ragged_probabilities_name_the_entry(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 2, [(0, 0), (0, 1)])
+        doc = json.loads(path.read_text())
+        doc["entries"][1]["col_probs"] = [0.25, 0.25, 0.5]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value) == (f"policy file {path}: 'col_probs': policy entry (0, 1) "
+                                   f"of shape (3,) needs state >= 0, t < 2, 2 actions")
+
+    def test_huge_integer_probability_names_the_entry(self, tmp_path):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 1, [(0, 0)], row_probs=(10 ** 400, 0))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value).startswith(f"policy file {path} entry 0: 'row_probs' is malformed")
+
     @pytest.mark.parametrize("load, text, kind, key", [
         (load_policy_pair, '{"entries": []}', "policy", "horizon"),
         (load_policy_pair, '{"horizon": 2}', "policy", "entries"),
@@ -219,14 +246,25 @@ class TestAtomicWrites:
 
     def test_interrupted_save_keeps_the_old_file(self, tmp_path, game_file, monkeypatch):
         before = game_file.read_bytes()
-        write_chunk = sgio._write_chunk
 
-        def partial_chunk(fh, text, lo, hi, depth):
-            write_chunk(fh, text, lo, (lo + hi) // 2, depth)  # half the chunk reaches the file
-            fh.flush()
-            assert os.path.getsize(fh.name) > 0
-            raise OSError("no space left on device")
-        monkeypatch.setattr(sgio, "_write_chunk", partial_chunk)
+        class FillingDisk:
+            """The temporary file, whose writes fail after the first reaches it."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.flush()
+                if os.path.getsize(self.fh.name) > 0:
+                    raise OSError("no space left on device")
+                return self.fh.write(text)
+        monkeypatch.setattr(sgio, "open", FillingDisk, raising=False)
         with pytest.raises(OSError, match="no space"):
             save_game(random_game(2, 2, 2, 1, 1.0, seed=3), game_file)
         assert game_file.read_bytes() == before

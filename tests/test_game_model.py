@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sgplan import (DimensionMismatch, MatrixGame, MissingPolicyEntry,
-                    StationaryPolicy, StochasticGame, TimeDependentPolicy,
-                    as_generative, random_game, single_state_game, validate)
+from sgplan import (DimensionMismatch, GameFileError, MatrixGame, MissingPolicyEntry,
+                    MixedStrategy, StationaryPolicy, StochasticGame, TimeDependentPolicy,
+                    as_generative, load_game, random_game, save_game, single_state_game,
+                    validate)
 
 
 class TestValidation:
@@ -40,6 +41,35 @@ class TestValidation:
                                              r_max=r_max))
             assert [v.kind for v in report.violations].count("r-max") == 1
             assert report.violations[0].message == f"r_max={r_max} is not a finite number >= 0"
+
+    @pytest.mark.parametrize("site, message", [
+        ("transition-entry", "probability -1.0 is negative or non-finite"),
+        ("transition-sum", "probabilities sum to 0.5, not 1"),
+        ("payoff-finite", "payoff nan is not finite"),
+        ("payoff-bound", "|payoff| 0.5 exceeds r_max=0.1"),
+        ("load_game", "probabilities at (s=0, i=0, j=0) sum to 0.5, not 1"),
+        ("MixedStrategy", "strategy probabilities sum to 1.1, not 1"),
+    ])
+    def test_messages_show_plain_floats(self, tmp_path, site, message):
+        # numpy 2 writes a numpy scalar's repr as np.float64(0.5)
+        trans, pay = np.ones((1, 1, 1, 1)), np.full((1, 1, 1), 0.5)
+        games = {"transition-entry": StochasticGame(pay, pay, -trans),
+                 "transition-sum": StochasticGame(pay, pay, trans / 2),
+                 "payoff-finite": StochasticGame(pay * np.nan, pay, trans, r_max=1.0),
+                 "payoff-bound": StochasticGame(pay, pay, trans, r_max=np.float64(0.1))}
+        if site in games:
+            got = next(v.message for v in validate(games[site]).violations if v.kind == site)
+        elif site == "load_game":
+            save_game(games["transition-sum"], tmp_path / "g.json")
+            with pytest.raises(GameFileError) as info:
+                load_game(tmp_path / "g.json")
+            got = str(info.value)
+        else:
+            with pytest.raises(ValueError) as info:
+                MixedStrategy([0.5, 0.6])
+            got = str(info.value)
+        assert message in got
+        assert "np." not in got
 
     def test_random_games_always_validate(self):
         for seed in range(10):

@@ -1,71 +1,34 @@
-"""The JSON file writer: its bytes are those of `json.dump(doc, fh, indent=2)`
-plus a newline, at every chunk size and for every document whose strings
-hold no bracket, brace or comma."""
+"""The JSON file writers: `save_game` and `save_policy_pair` write the bytes
+of `json.dump(doc, fh, indent=2)` plus a newline, `doc` being the document
+each built before it wrote its text straight from the arrays."""
 
 import json
+import math
 import os
+import random
 import tempfile
-from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sgplan import StochasticGame, finite_vi, random_game, save_game, save_policy_pair
-from sgplan import io as sgio
+from sgplan import (StochasticGame, TimeDependentPolicy, finite_vi, load_policy_pair,
+                    random_game, save_game, save_policy_pair)
 
 
 def indent2(doc) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode()
 
 
-def written(write, *args, chunk=sgio._CHUNK) -> bytes:
-    """The bytes `write(*args, path)` leaves in a new file, re-indented in
-    chunks of `chunk` bytes."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sgio, "_CHUNK", chunk):
+def written(write, *args) -> bytes:
+    """The bytes `write(*args, path)` leaves in a new file."""
+    with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
         write(*args, path)
         with open(path, "rb") as fh:
             return fh.read()
 
 
-# any character but the structural ones, the quote and the backslash
-STRINGS = st.text(st.characters(blacklist_characters='[]{},"\\'), max_size=6)
 FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, 1e300, 1e-08, -1.5]) | st.floats()
-LEAVES = (FLOATS | st.integers() | st.integers(-10**30, 10**30) | st.booleans()
-          | st.none() | STRINGS)
-
-
-def values(depth):
-    if depth == 0:
-        return LEAVES
-    inner = values(depth - 1)
-    return LEAVES | st.lists(inner, max_size=4) | st.dictionaries(STRINGS, inner, max_size=4)
-
-
-DOCUMENTS = st.dictionaries(STRINGS, values(5), max_size=4)  # containers nest up to 6 deep
-
-
-@settings(max_examples=300, deadline=None)
-@given(DOCUMENTS, st.integers(1, 64))
-@example({"a": [], "b": {}, "c": [[], [{}], {"d": [[[]]]}]}, 1)
-@example({"x": [-0.0, 5e-324, 1e300, 1e-08, -(2**70), 2**70]}, 3)
-def test_bytes_equal_indent2(doc, chunk):
-    assert written(sgio._write_json, doc, chunk=chunk) == indent2(doc)
-
-
-@pytest.mark.parametrize("doc", [
-    {"a": [[], {}, [1, [2.5, {}]], {"b": []}], "c": -0.0, "d": [{"e": [3, 4]}, []]},
-    {"entries": [{"state": 0, "probs": [[0.25, 0.75], []]}, {"state": 1, "probs": [[]]}],
-     "empty": {}},
-])
-def test_every_chunk_border(doc):
-    # every byte boundary of the compact text, so a border falls right after
-    # each opener and comma, right before each closer, and inside `[]` and `{}`
-    compact = json.dumps(doc, separators=(",", ": "))
-    assert all(pattern in compact for pattern in ("[[", ",", "]]", "[]", "{}"))
-    for chunk in range(1, len(compact) + 2):
-        assert written(sgio._write_json, doc, chunk=chunk) == indent2(doc), chunk
 
 
 def old_game_doc(game):
@@ -86,21 +49,86 @@ def old_policy_doc(policy1, policy2):
                          "col_probs": cols[s, t].tolist()} for s, t in np.ndindex(*shape)]}
 
 
+def floats(draw, *shape, elements=FLOATS):
+    size = math.prod(shape)
+    return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                    dtype=float).reshape(shape)
+
+
+@st.composite
+def games(draw):
+    """Unvalidated games of 1-4 states and 1-3 actions per player, every
+    float from FLOATS; a transition row may be random, empty or all -0.0."""
+    n, n1, n2 = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    transitions = floats(draw, n, n1, n2, n, elements=FLOATS | st.just(0.0))
+    fills = draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=n * n1 * n2,
+                          max_size=n * n1 * n2))
+    for row, fill in zip(transitions.reshape(-1, n), fills):
+        if fill is not None:
+            row[:] = fill
+    return StochasticGame(floats(draw, n, n1, n2), floats(draw, n, n1, n2), transitions,
+                          start_state=draw(st.integers(0, n - 1)), r_max=draw(FLOATS))
+
+
+def unchecked_policy(strategies):
+    """A policy over any float array, past the probability-vector check."""
+    policy = TimeDependentPolicy.__new__(TimeDependentPolicy)
+    policy.horizon, policy.strategies = strategies.shape[1], strategies
+    return policy
+
+
+@st.composite
+def policy_pairs(draw):
+    """Halves of 1-4 states, horizon 1-3 and 1-3 actions, every probability
+    from FLOATS; an all-NaN row, which marks a gap, gets a 0.0."""
+    n, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    halves = []
+    for _ in range(2):
+        strategies = floats(draw, n, horizon, draw(st.integers(1, 3)))
+        strategies[np.isnan(strategies).all(axis=-1), 0] = 0.0
+        halves.append(unchecked_policy(strategies))
+    return halves
+
+
+@settings(max_examples=300, deadline=None)
+@given(games())
+@example(StochasticGame(np.full((1, 1, 1), np.inf), np.full((1, 1, 1), -np.inf),
+                        np.full((1, 1, 1, 1), np.nan), r_max=np.nan))
+def test_game_bytes_equal_indent2(game):
+    assert written(save_game, game) == indent2(old_game_doc(game))
+
+
+@settings(max_examples=300, deadline=None)
+@given(policy_pairs())
+def test_policy_bytes_equal_indent2(halves):
+    assert written(save_policy_pair, *halves) == indent2(old_policy_doc(*halves))
+
+
+def test_shuffled_policy_entries_load_the_same_bits(tmp_path):
+    result = finite_vi(random_game(5, 3, 2, 2, 1.0, seed=3), 3)
+    path = tmp_path / "p.json"
+    save_policy_pair(result.policy1, result.policy2, path)
+    in_order = load_policy_pair(path)
+    doc = json.loads(path.read_text())
+    random.Random(0).shuffle(doc["entries"])
+    path.write_text(json.dumps(doc))
+    for policy, want in zip(load_policy_pair(path), in_order):
+        assert policy.strategies.shape == want.strategies.shape
+        assert policy.strategies.tobytes() == want.strategies.tobytes()
+
+
 class TestFileDocuments:
-    """Both file documents of a 100-state game, each larger than one chunk,
-    against the standard library's `indent=2` encoder."""
+    """Both file documents of a 100-state game against the standard
+    library's `indent=2` encoder."""
 
     GAME = random_game(100, 3, 3, 4, 1.0, seed=0)
 
     def test_game(self):
-        doc = old_game_doc(self.GAME)
-        assert len(json.dumps(doc, separators=(",", ": "))) > sgio._CHUNK
-        assert written(save_game, self.GAME) == indent2(doc)
+        assert written(save_game, self.GAME) == indent2(old_game_doc(self.GAME))
 
     def test_policy_pair(self):
         result = finite_vi(self.GAME, 8)
         doc = old_policy_doc(result.policy1, result.policy2)
-        assert len(json.dumps(doc, separators=(",", ": "))) > sgio._CHUNK
         assert written(save_policy_pair, result.policy1, result.policy2) == indent2(doc)
 
     def test_game_with_empty_rows(self):
@@ -110,4 +138,4 @@ class TestFileDocuments:
         transitions[0, 0, 0] = transitions[3, 1, 2] = 0.0
         transitions[1, :, :, 0] = -0.0
         game = StochasticGame(game.payoffs1, game.payoffs2, transitions)
-        assert written(save_game, game, chunk=7) == indent2(old_game_doc(game))
+        assert written(save_game, game) == indent2(old_game_doc(game))
