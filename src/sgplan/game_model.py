@@ -9,6 +9,7 @@ action counts at every state so backup matrices have uniform shape.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,22 +302,38 @@ def random_game(n_states: int, n_row_actions: int, n_col_actions: int,
     Payoffs are uniform in [-payoff_scale, payoff_scale]; each (s, i, j)
     transition is a normalized positive draw over `branching` distinct
     successor states chosen uniformly.
+
+    The draw rule is that of `np.random.default_rng(seed)`: payoffs1, then
+    payoffs2 unless `zero_sum`, by `Generator.uniform`; then, cell by cell in
+    (s, i, j) order, `choice(n_states, branching, replace=False)` for the
+    successors and `1 - uniform(size=branching)`, normalized by its sum, for
+    their weights.  `_cell_by_cell` is that rule; `_transitions` draws the
+    same bits in blocks of the raw PCG64 stream.  The output bits are
+    pinned by the benchmark digests (`sgbench/digests.json`), the CLI byte
+    digest and the cell-by-cell oracle of the test suite.
     """
-    for name, count in (("n_states", n_states), ("n_row_actions", n_row_actions),
-                        ("n_col_actions", n_col_actions)):
-        _check_index(name, count, low=1)
-    _check_index("branching", branching, n_states + 1, low=1)
+    shape = tuple(_check_index(name, count, low=1) for name, count in (
+        ("n_states", n_states), ("n_row_actions", n_row_actions), ("n_col_actions", n_col_actions)))
+    branching = _check_index("branching", branching, shape[0] + 1, low=1)
     if not 0.0 <= payoff_scale < np.inf:  # false for NaN
         raise ValueError(f"payoff_scale must be finite and >= 0, got {payoff_scale}")
     if payoff_scale > np.finfo(float).max / 2:
         raise ValueError(f"payoff_scale {payoff_scale} overflows the payoff range 2 * payoff_scale")
     rng = np.random.default_rng(_check_index("seed", seed))
-    shape = (n_states, n_row_actions, n_col_actions)
     payoffs1 = rng.uniform(-payoff_scale, payoff_scale, shape)
     if zero_sum:
         payoffs2 = -payoffs1
     else:
         payoffs2 = rng.uniform(-payoff_scale, payoff_scale, shape)
+    transitions = _transitions(rng, shape, branching)
+    return StochasticGame(payoffs1, payoffs2, transitions, start_state=0,
+                          r_max=payoff_scale, is_zero_sum=zero_sum)
+
+
+def _cell_by_cell(rng, shape, branching) -> np.ndarray:
+    """The transition kernel drawn one (s, i, j) cell at a time: the
+    definition `_transitions` reproduces, and its exact path."""
+    n_states, n_row_actions, n_col_actions = shape
     transitions = np.zeros(shape + (n_states,))
     for s in range(n_states):
         for i in range(n_row_actions):
@@ -324,8 +341,82 @@ def random_game(n_states: int, n_row_actions: int, n_col_actions: int,
                 succ = rng.choice(n_states, size=branching, replace=False)
                 weights = 1.0 - rng.uniform(size=branching)  # in (0, 1]
                 transitions[s, i, j, succ] = weights / weights.sum()
-    return StochasticGame(payoffs1, payoffs2, transitions, start_state=0,
-                          r_max=payoff_scale, is_zero_sum=zero_sum)
+    return transitions
+
+
+# successors (cells x branching) per block: keeps a block's arrays at a few tens of MB
+_BLOCK = 1 << 18
+
+
+def _transitions(rng, shape, branching) -> np.ndarray:
+    """`_cell_by_cell`'s bits, drawn by `_block_draws` where it can mirror
+    numpy, in blocks of an even number of cells: those leave no 32-bit half
+    over, so each block starts with an empty buffer.  A Lemire rejection and
+    numpy's tail-shuffle regime run `_cell_by_cell` from the first block's
+    starting state."""
+    n_states = shape[0]
+    if n_states > 10000 and branching > n_states // 50:  # numpy's tail shuffle
+        return _cell_by_cell(rng, shape, branching)
+    cells = math.prod(shape)
+    step = 2 * max(1, _BLOCK // (2 * branching))
+    saved = rng.bit_generator.state
+    transitions = np.zeros((cells, n_states))
+    for start in range(0, cells, step):
+        drawn = _block_draws(rng, min(step, cells - start), n_states, branching)
+        if drawn is None:
+            rng.bit_generator.state = saved
+            return _cell_by_cell(rng, shape, branching)
+        succ, weights = drawn
+        rows = np.arange(start, start + len(succ))[:, None]
+        transitions[rows, succ] = weights / weights.sum(axis=1, keepdims=True)
+    return transitions.reshape(shape + (n_states,))
+
+
+def _block_draws(rng, cells, n_states, branching):
+    """Successors and weights, each (cells, branching), of `cells` rounds of
+    `choice(n_states, branching, replace=False)` and `1 - uniform(size=
+    branching)`, from one block of `rng`'s raw PCG64 stream; None where a
+    bounded draw would be rejected.  `rng`'s 32-bit buffer must be empty,
+    as it is after doubles only.
+
+    This mirrors numpy's `Generator.choice` without replacement below its
+    tail-shuffle regime: Floyd's algorithm takes a bounded draw in [0, j]
+    for j = n - b .. n - 1 (none for j = 0) and keeps j where the value is
+    already taken, then the b picks are shuffled by bounded draws in [0, i]
+    for i = b - 1 .. 1.  A bounded draw is Lemire's method on a 32-bit draw
+    (a rejection has probability below n / 2**32); PCG64 serves those from
+    the low, then the high half of one 64-bit output, and a leftover half
+    carries over to the next round, past that round's doubles.  A double is
+    (output >> 11) * 2**-53 of a fresh output.
+    """
+    floyd = range(n_states - branching, n_states)
+    bounds = np.array([j for j in floyd if j] + list(range(branching - 1, 0, -1)),
+                      dtype=np.uint64)
+    k = len(bounds)  # 32-bit draws per round
+    # round c's doubles follow the ceil((c + 1) k / 2) outputs that the 32-bit draws so far take
+    first = (np.arange(1, cells + 1) * k + 1) // 2 + np.arange(cells) * branching
+    doubles = first[:, None] + np.arange(branching)
+    raw = rng.bit_generator.random_raw(int(first[-1]) + branching)
+    split = np.ones(raw.size, dtype=bool)  # the outputs served as two 32-bit draws
+    split[doubles] = False
+    draws = raw[split].astype("<u8", copy=False).view("<u4")[:cells * k]  # low half first
+    # draw t of every round in one row: (k, cells)
+    product = np.multiply(draws.reshape(cells, k).T, bounds[:, None] + 1, order="C")
+    # Lemire rejects where the low word falls below 2**32 mod (bound + 1)
+    if ((product & 0xFFFFFFFF) < ((0xFFFFFFFF - bounds) % (bounds + 1))[:, None]).any():
+        return None
+    column = iter(product >> 32)
+    rows = np.arange(cells)
+    taken = np.zeros((cells, n_states), dtype=bool)
+    succ = np.empty((branching, cells), dtype=np.intp)  # pick t of every round in one row
+    for t, j in enumerate(floyd):
+        value = next(column) if j else 0
+        succ[t] = np.where(taken[rows, value], j, value)
+        taken[rows, succ[t]] = True
+    for i in range(branching - 1, 0, -1):
+        swap = next(column)
+        succ[i], succ[swap, rows] = succ[swap, rows], succ[i].copy()
+    return succ.T, 1.0 - (raw[doubles] >> 11) * 2.0 ** -53  # weights in (0, 1]
 
 
 def single_state_game(stage: MatrixGame) -> StochasticGame:

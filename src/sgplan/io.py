@@ -284,6 +284,10 @@ def load_policy_pair(path) -> tuple[TimeDependentPolicy, TimeDependentPolicy]:
     for half, rows in zip(("row_probs", "col_probs"), halves):
         table = np.empty((n_states, horizon, rows.shape[1]))
         table[at] = rows
+        if not np.isfinite(rows).all():  # an all-NaN row would load as a gap
+            where = tuple(np.argwhere(~np.isfinite(table).all(axis=-1))[0].tolist())
+            raise GameFileError(f"policy file {path}: '{half}': policy entry at {where} "
+                                f"is not a probability vector: {table[where]}")
         try:
             policies.append(TimeDependentPolicy(horizon, rows.shape[1], table))
         except ValueError as exc:  # not probability vectors

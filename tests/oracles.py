@@ -17,6 +17,9 @@ folds uint64 arrays.  `pairwise_nash_stack` and `pairwise_equilibria` are
 the third: the support walk one support pair at a time, each pair tested
 on the games no earlier pair settled, kept as the reference for the
 library's walk by support size, which promises the same bits.
+`cell_by_cell_game` is the fourth: `random_game`'s draws one cell at a
+time through `Generator.choice` and `uniform`, the reference for its
+block draw from the raw PCG64 stream, which promises the same bits.
 """
 
 from fractions import Fraction
@@ -495,3 +498,24 @@ def pairwise_equilibria(m1, m2, cap=ENUMERATION_CAP):
             yield eq
     if not found:
         raise DegenerateGame("no equilibrium survived verification")
+
+
+def cell_by_cell_game(n_states, n_row_actions, n_col_actions, branching, payoff_scale, seed,
+                      zero_sum=False):
+    """`random_game`'s (payoffs1, payoffs2, transitions), drawn one
+    (s, i, j) cell at a time."""
+    rng = np.random.default_rng(seed)
+    shape = (n_states, n_row_actions, n_col_actions)
+    payoffs1 = rng.uniform(-payoff_scale, payoff_scale, shape)
+    if zero_sum:
+        payoffs2 = -payoffs1
+    else:
+        payoffs2 = rng.uniform(-payoff_scale, payoff_scale, shape)
+    transitions = np.zeros(shape + (n_states,))
+    for s in range(n_states):
+        for i in range(n_row_actions):
+            for j in range(n_col_actions):
+                succ = rng.choice(n_states, size=branching, replace=False)
+                weights = 1.0 - rng.uniform(size=branching)  # in (0, 1]
+                transitions[s, i, j, succ] = weights / weights.sum()
+    return payoffs1, payoffs2, transitions

@@ -179,6 +179,21 @@ class TestPolicyFiles:
         assert str(info.value).startswith(f"policy file {path}: 'row_probs': ")
 
     @pytest.mark.parametrize("half", ["row_probs", "col_probs"])
+    @pytest.mark.parametrize("probs, shown", [((float("nan"),) * 2, "[nan nan]"),
+                                              ((float("inf"), float("nan")), "[inf nan]"),
+                                              ((-float("inf"), 1.0), "[-inf   1.]")])
+    def test_non_finite_entry_names_the_entry(self, tmp_path, half, probs, shown):
+        path = tmp_path / "p.json"
+        self.write_entries(path, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+        doc = json.loads(path.read_text())
+        doc["entries"][2][half] = list(probs)  # the entry (state=1, t=0)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(GameFileError) as info:
+            load_policy_pair(path)
+        assert str(info.value) == (f"policy file {path}: '{half}': policy entry at (1, 0) "
+                                   f"is not a probability vector: {shown}")
+
+    @pytest.mark.parametrize("half", ["row_probs", "col_probs"])
     def test_empty_probabilities_rejected(self, tmp_path, half):
         path = tmp_path / "p.json"
         entry = {"state": 0, "t": 0, "row_probs": [1.0], "col_probs": [1.0], half: []}

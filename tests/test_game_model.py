@@ -6,6 +6,10 @@ from sgplan import (DimensionMismatch, GameFileError, MatrixGame, MissingPolicyE
                     MixedStrategy, StationaryPolicy, StochasticGame, TimeDependentPolicy,
                     as_generative, load_game, random_game, save_game, single_state_game,
                     validate)
+from sgplan import game_model
+from sgplan.game_model import _block_draws, _transitions
+
+from oracles import cell_by_cell_game
 
 
 class TestValidation:
@@ -186,6 +190,73 @@ class TestRandomGame:
             random_game(2, 2, 2, 3, 1.0, seed=0)
         with pytest.raises(ValueError):
             random_game(0, 2, 2, 1, 1.0, seed=0)
+
+
+# (n_states, n_row_actions, n_col_actions, branching, payoff_scale, zero_sum): the three
+# workloads' shapes, branching = n_states, one state, 1x1 actions, a branching past
+# numpy's 128-entry pairwise-sum block, zero-sum, and a zero payoff scale
+BIT_SHAPES = [(100, 3, 3, 4, 1.0, False), (3, 2, 2, 2, 1.0, False), (12, 3, 3, 3, 1.0, True),
+              (12, 2, 3, 3, 1.0, False), (6, 2, 3, 6, 1.0, False), (1, 2, 3, 1, 1.0, False),
+              (1, 1, 1, 1, 2.5, True), (9, 1, 1, 4, 1.0, False), (140, 1, 2, 130, 1.0, False),
+              (5, 2, 2, 3, 0.0, False)]
+
+
+class TestRandomGameBits:
+    """`random_game` draws its kernel in blocks of the raw PCG64 stream;
+    every array must equal the cell-by-cell draw byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2937467307694268567, 2 ** 63 - 1])
+    @pytest.mark.parametrize("shape", BIT_SHAPES, ids=str)
+    def test_bytes_equal_cell_by_cell(self, shape, seed, monkeypatch):
+        monkeypatch.delattr(game_model, "_cell_by_cell")  # no case here takes the exact path
+        *dims, scale, zero_sum = shape
+        game = random_game(*dims, scale, seed=seed, zero_sum=zero_sum)
+        reference = cell_by_cell_game(*dims, scale, seed, zero_sum=zero_sum)
+        for got, want in zip((game.payoffs1, game.payoffs2, game.transitions), reference):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 12, 40])
+    @pytest.mark.parametrize("shape", BIT_SHAPES[1:7], ids=str)
+    def test_blocks_of_a_few_cells(self, shape, block, monkeypatch):
+        monkeypatch.setattr(game_model, "_BLOCK", block)
+        self.test_bytes_equal_cell_by_cell(shape, 5, monkeypatch)
+
+    @pytest.mark.parametrize("block", [game_model._BLOCK, 200])
+    def test_lemire_rejection_runs_the_exact_path(self, block, monkeypatch):
+        monkeypatch.setattr(game_model, "_BLOCK", block)  # 200: blocks of 10 cells
+        shape, branching, seed = (1000, 1, 1), 20, 102
+        rng = np.random.default_rng(seed)
+        rng.uniform(size=2000)  # the two payoff arrays
+        state = rng.bit_generator.state
+        assert _block_draws(rng, 758, 1000, branching) is not None
+        rng.bit_generator.state = state
+        assert _block_draws(rng, 759, 1000, branching) is None  # a rejection at cell 758
+        exact = []
+        cell_by_cell = game_model._cell_by_cell
+        monkeypatch.setattr(game_model, "_cell_by_cell", lambda *args: (
+            exact.append(args[1:]), cell_by_cell(*args))[1])
+        game = random_game(*shape, branching, 1.0, seed=seed)
+        assert exact == [(shape, branching)]
+        want = cell_by_cell_game(*shape, branching, 1.0, seed)[2]
+        assert game.transitions.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_floyd_below_the_tail_shuffle_regime(self, seed):
+        # population 10001: numpy shuffles a tail once the size exceeds 10001 // 50 = 200
+        for size, same in ((200, True), (201, False)):
+            succ, weights = _block_draws(np.random.default_rng(seed), 1, 10001, size)
+            rng = np.random.default_rng(seed)
+            chosen = rng.choice(10001, size=size, replace=False)
+            assert np.array_equal(succ[0], chosen) is same
+            assert (weights[0].tobytes() == (1.0 - rng.uniform(size=size)).tobytes()) is same
+
+    def test_tail_shuffle_regime_runs_the_exact_path(self, monkeypatch):
+        exact = []
+        monkeypatch.delattr(game_model, "_block_draws")
+        monkeypatch.setattr(game_model, "_cell_by_cell", lambda *args: exact.append(args[1:]))
+        _transitions(np.random.default_rng(0), (10001, 1, 1), 201)  # a stub: no kernel drawn
+        assert exact == [((10001, 1, 1), 201)]
 
 
 class TestSingleStateGame:
