@@ -25,10 +25,10 @@ selects a whole (K, n1, n2) stack with the same output bits, for
 per-game selection.  The Nash form, `_nash_stack`, keeps each game's first
 accepted pair of the same walk, so a game with none takes the vertex
 fallback.  The security form, `_security_stack`, solves a level's maximin
-LPs with one lockstep simplex call (`simplex.maximin_stack`), both players
-in one call when their matrices have one shape, and checks every duality
-gap at once; a game the stack flags or the check rejects goes back to
-`select_level`, which selects it with the per-game `security_select`.
+LPs, both players of every game, with one lockstep simplex call
+(`simplex.maximin_stack`) whatever the shape of the games, and checks every
+duality gap at once; a game the stack flags or the check rejects goes back
+to `select_level`, which selects it with the per-game `security_select`.
 """
 
 from __future__ import annotations
@@ -294,23 +294,18 @@ def _security_stack(m1, m2, rows, cols, values1, values2) -> np.ndarray:
     values1[k] and values2[k].  Returns, as `_nash_stack` does, the games
     left to `security_select`: those the stack flags or the check rejects.
 
-    One `maximin_stack` call solves a player's whole stack, or both players'
-    when payoff1 and transpose(payoff2) have one shape.  The values and
-    duality checks are stacked matrix products over m1 and the transposed
-    view of m2, so each game's product runs on a matrix of the shape and
-    strides `_maximin` is given (m1[k], m2[k].T) and keeps its bits; on a
-    contiguous copy of the transpose they would move.
+    One `maximin_stack` call solves both players' stacks, payoff1 and
+    transpose(payoff2), in one lockstep, square or not, and hands each back
+    C-contiguous in its own shape.  The values and duality checks are
+    stacked matrix products over m1 and the transposed view of m2, so each
+    game's product runs on a matrix of the shape and strides `_maximin` is
+    given (m1[k], m2[k].T) and keeps its bits; on a contiguous copy of the
+    transpose they would move.
     """
     m2t = m2.transpose(0, 2, 1)
-    if m1.shape == m2t.shape:
-        alpha, beta, ok = maximin_stack(np.concatenate([m1, m2t]))
-        n = len(m1)
-        solved = [(alpha[:n], beta[:n], ok[:n]), (alpha[n:], beta[n:], ok[n:])]
-    else:
-        solved = [maximin_stack(m1), maximin_stack(m2t)]
     good = np.ones(len(m1), dtype=bool)
     for mats, strategies, values, (alpha, beta, ok) in zip(
-            (m1, m2t), (rows, cols), (values1, values2), solved):
+            (m1, m2t), (rows, cols), (values1, values2), maximin_stack(m1, m2t)):
         value = (alpha[:, None, :] @ mats)[:, 0, :].min(axis=1)
         gap = (mats @ beta[:, :, None])[:, :, 0].max(axis=1) - value
         scale = np.maximum(np.abs(mats).max(axis=(1, 2)), 1.0)  # _scale of each game

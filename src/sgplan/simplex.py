@@ -23,17 +23,33 @@ lowest basis variable index.  This prevents cycling and makes the solver
 a pure function of the matrix entries.
 
 There is one pivot loop, `_solve_packing_stack`, and it solves a stack of
-K games of one shape in lockstep: each step pivots every open tableau of
-the stack at once, and the ratio test scans the rows in order, vectorized
-across games, so the tie rule holds in each game as if it were alone.  A
-pivot updates a row only where its factor is nonzero, through a masked
-subtract: an unmasked x - 0.0 * piv would rewrite a -0.0 as +0.0, and a
-zero times a non-finite entry as NaN.  Games that finish drop out of the
-pivots, and a game whose LP fails (unbounded, or no termination within the
-pivot cap) is flagged.  `maximin_stack` returns the strategies of a stack
-only: a caller takes values and duality checks from matrix products that
-run on each game's own view, since those bits depend on memory layout.
-`maximin` is the stack of one, with its value taken on the matrix itself.
+K games in lockstep: each step pivots every open tableau of the stack at
+once, and the ratio test scans the rows in order, vectorized across games,
+so the tie rule holds in each game as if it were alone.  A pivot updates a
+row only where its factor is nonzero, through a masked subtract: an
+unmasked x - 0.0 * piv would rewrite a -0.0 as +0.0, and a zero times a
+non-finite entry as NaN.  Games that finish drop out of the pivots, and a
+game whose LP fails (unbounded, or no termination within the pivot cap) is
+flagged.
+
+`maximin_stack` takes stacks of any shapes, such as a level's payoff1
+(n1 x n2) and transpose(payoff2) (n2 x n1), and runs them through that one
+loop, each game in a common frame of the most rows by the most columns.
+The padding changes no bit of a game:
+- it first repeats one of the game's own entries, so min, max and the map
+  onto [1, 2] see the real entries only, and is zeroed after the map;
+- a zero column has objective 0 and never enters; a zero row has 0 in the
+  entering column, so it is never usable and never updated, and the real
+  rows keep their 0 in the padded columns;
+- the real slack columns move up together, so Bland's entering column and
+  the tie rule on basis indices choose as before, and every real tableau
+  entry goes through the same elementwise arithmetic;
+- sums are not elementwise (numpy's pairwise sum groups a row's terms by
+  the row's length), so the strategies are cleaned on each stack's own rows.
+`maximin_stack` returns the strategies only: a caller takes values and
+duality checks from matrix products that run on each game's own view,
+since those bits depend on memory layout.  `maximin` is the stack of one,
+with its value taken on the matrix itself.
 """
 
 import math
@@ -79,39 +95,61 @@ def onto_one_two(mat):
     return (mat - low) / (span or 1.0) + 1.0
 
 
-def maximin_stack(mats):
-    """Maximin strategies of each game of a stack mats (K, n1, n2).
+def maximin_stack(*stacks):
+    """Maximin strategies of each game of one or more stacks (K, n1, n2), of
+    any shapes, pivoted in one lockstep.
 
-    Returns (alpha (K, n1), beta (K, n2), ok (K,)).  Where ok[k] holds,
-    alpha[k] is the row player's security strategy of mats[k] and beta[k]
-    the column player's minimax response, the same bits in any stack; where
-    it does not (a range that overflows float64, an unbounded LP, no
+    Returns, for each stack, C-contiguous (alpha (K, n1), beta (K, n2),
+    ok (K,)): one stack gives its triple, several a list of triples, as
+    `np.atleast_2d` does.  Where ok[k] holds, alpha[k] is the row player's
+    security strategy of the stack's game k and beta[k] the column player's
+    minimax response, the same bits in any stack, beside any other stacks;
+    where it does not (a range that overflows float64, an unbounded LP, no
     termination or an empty strategy), both rows are zeros, so products
     with them stay finite.
     """
-    low = mats.min(axis=(1, 2))
+    parts, end = [], 0
+    for mats in stacks:
+        end += len(mats)
+        parts.append((slice(end - len(mats), end),) + mats.shape[1:])
+    frame = np.empty((end, max(n1 for _, n1, _ in parts), max(n2 for *_, n2 in parts)))
+    for mats, (games, n1, n2) in zip(stacks, parts):
+        frame[games] = mats[:, :1, :1]  # padding repeats an entry, so min and max hold
+        frame[games, :n1, :n2] = mats
+    low = frame.min(axis=(1, 2))
     with np.errstate(over="ignore"):
-        span = mats.max(axis=(1, 2)) - low
+        span = frame.max(axis=(1, 2)) - low
     ok = np.isfinite(span)
     if not ok.all():  # a finite placeholder: those games map to all ones
-        mats = np.where(ok[:, None, None], mats, low[:, None, None])
+        frame = np.where(ok[:, None, None], frame, low[:, None, None])
         span = np.where(ok, span, 0.0)
     span = np.where(span == 0.0, 1.0, span)
-    y, duals, solved = _solve_packing_stack((mats - low[:, None, None]) / span[:, None, None] + 1.0)
-    beta, has_beta = _clean_rows(y)
-    alpha, has_alpha = _clean_rows(duals)
-    ok &= solved & has_beta & has_alpha
-    alpha[~ok], beta[~ok] = 0.0, 0.0
-    return alpha, beta, ok
+    a = (frame - low[:, None, None]) / span[:, None, None] + 1.0
+    for games, n1, n2 in parts:
+        a[games, n1:] = 0.0
+        a[games, :, n2:] = 0.0
+    y, duals, solved = _solve_packing_stack(a)
+    ok &= solved
+    solutions = []
+    for games, n1, n2 in parts:
+        # on the stack's own rows: a sum over padding may group its terms otherwise
+        beta, has_beta = _clean_rows(y[games, :n2])
+        alpha, has_alpha = _clean_rows(duals[games, :n1])
+        good = ok[games] & has_beta & has_alpha
+        alpha[~good], beta[~good] = 0.0, 0.0
+        solutions.append((alpha, beta, good))
+    return solutions[0] if len(stacks) == 1 else solutions
 
 
 def _solve_packing_stack(a):
     """max sum(y) s.t. a y <= 1, y >= 0 for each matrix of a stack a
-    (K, n1, n2), all entries in [1, 2], pivoted in lockstep.
+    (K, n1, n2), pivoted in lockstep.  Each matrix has its entries in [1, 2],
+    except for zero rows and columns, a frame's padding: a zero column is no
+    variable (objective 0) and a zero row no constraint.
 
     Returns (y (K, n2), duals (K, n1), ok (K,)): ok[k] is False where game
     k's LP has no leaving row (unbounded) or does not terminate within the
-    pivot cap, and y[k] and duals[k] then mean nothing.
+    frame's pivot cap, and y[k] and duals[k] then mean nothing.
     """
     k, n1, n2 = a.shape
     games = np.arange(k)
@@ -119,7 +157,7 @@ def _solve_packing_stack(a):
     tableau[:, :n1, :n2] = a
     tableau[:, np.arange(n1), np.arange(n2, n2 + n1)] = 1.0
     tableau[:, :n1, -1] = 1.0
-    tableau[:, n1, :n2] = -1.0
+    tableau[:, n1, :n2] = -np.sign(a[:, 0])  # -1.0 over a real column, -0.0 over padding
     basis = np.tile(np.arange(n2, n2 + n1), (k, 1))
     ok = np.ones(k, dtype=bool)
     pivoting = np.ones(k, dtype=bool)  # not yet optimal, not failed
@@ -165,7 +203,7 @@ def _solve_packing_stack(a):
     y = np.zeros((k, n2))
     g, r = np.nonzero(basis < n2)
     y[g, basis[g, r]] = tableau[g, r, -1]
-    duals = tableau[:, n1, n2:n2 + n1].copy()
+    duals = tableau[:, n1, n2:n2 + n1]
     return y, duals, ok
 
 

@@ -6,7 +6,7 @@ import pytest
 from sgplan import (DegenerateGame, EnumerationCapExceeded, MatrixGame, SelectionFailure,
                     TimeDependentPolicy, best_response_dp, finite_vi, infinite_vi,
                     nash_certificate, nash_select, policy_value, random_game, security_select)
-from sgplan import matrix_games
+from sgplan import matrix_games, simplex
 from sgplan.finite_planner import select_level
 
 from conftest import game_as_dict, policy_as_fn
@@ -310,8 +310,8 @@ class TestSelectLevel:
                              (want.q1, want.q2, want.rows, want.cols, want.values1, want.values2))
 
     def test_infinite_vi_array_form_matches_per_game_path(self):
-        # the discounted-security shapes: a 3x3 zero-sum game, whose two players
-        # share one stacked solve, and a 2x3 general-sum game, which takes two
+        # the discounted-security shapes: a 3x3 zero-sum game and a 2x3 general-sum
+        # game, whose two players each share one stacked solve
         for game, gamma, tol in ((random_game(5, 3, 2, 2, 1.0, seed=4), 0.8, 1e-6),
                                  (random_game(12, 3, 3, 3, 1.0, seed=8, zero_sum=True), 0.9, 1e-9),
                                  (random_game(12, 2, 3, 3, 1.0, seed=9), 0.9, 1e-9)):
@@ -324,6 +324,19 @@ class TestSelectLevel:
                               got.values2),
                              (want.policy1.strategies, want.policy2.strategies, want.values1,
                               want.values2))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)], ids=str)
+    def test_security_level_makes_one_lockstep_call(self, shape, monkeypatch):
+        # both players of a level pivot in one lockstep, square or not
+        calls = []
+        solve = simplex._solve_packing_stack
+        monkeypatch.setattr(simplex, "_solve_packing_stack",
+                            lambda a: calls.append(a.shape) or solve(a))
+        q1, q2 = np.random.default_rng(6).uniform(-1, 1, (2, 12) + shape)
+        got = select_level(security_select, q1, q2, range(12), 0)
+        n = max(shape)
+        assert calls == [(24, n, n)]
+        assert same_bits(got, select_level(per_game(security_select), q1, q2, range(12), 0))
 
     @pytest.mark.parametrize("selection", [nash_select, per_game(nash_select)])
     def test_cap_fails_at_the_first_pair(self, selection):

@@ -306,6 +306,64 @@ class TestMaximinStack:
                 mats[4] = m
                 self.assert_matches_scalar(mats)
 
+    @staticmethod
+    def assert_same_solutions(got, want):
+        for (alpha, beta, ok), (want_alpha, want_beta, want_ok) in zip(got, want, strict=True):
+            assert alpha.flags.c_contiguous and beta.flags.c_contiguous
+            assert (alpha.shape, beta.shape) == (want_alpha.shape, want_beta.shape)
+            assert (alpha.tobytes(), beta.tobytes(), ok.tolist()) == (
+                want_alpha.tobytes(), want_beta.tobytes(), want_ok.tolist())
+
+    # (4, 8) + (8, 4): a frame 8 wide, where a row of 4 padded to 8 would sum
+    # pairwise, not left to right, so each stack is cleaned on its own rows
+    PAIRS = [((2, 3), (3, 2)), ((1, 3), (3, 1)), ((2, 4), (4, 2)), ((3, 5), (5, 3)),
+             ((4, 8), (8, 4))]
+
+    @pytest.mark.parametrize("first, second", PAIRS, ids=str)
+    def test_mixed_shape_frame_matches_scalar_and_each_stack_alone(self, first, second):
+        # uniform, rounded (ratio ties) and constant games, each kind beside the
+        # other shape's, in either order
+        for mats1, mats2 in zip(self.stacks(first, 1), self.stacks(second, 2)):
+            got = maximin_stack(mats1, mats2)
+            self.assert_same_solutions(got, [maximin_stack(mats1), maximin_stack(mats2)])
+            self.assert_same_solutions(maximin_stack(mats2, mats1), got[::-1])
+            for mats, (alpha, beta, ok) in zip((mats1, mats2), got):
+                for k, mat in enumerate(mats):
+                    want = oracles.scalar_maximin(mat)
+                    assert ok[k]
+                    assert (alpha[k].tobytes(), beta[k].tobytes()) == (want[0].tobytes(),
+                                                                       want[1].tobytes())
+
+    @pytest.mark.parametrize("first, second", PAIRS[:2], ids=str)
+    def test_overflowing_range_in_a_padded_frame(self, first, second):
+        # only the overflowing game is flagged; padding never meets inf - inf
+        rng = np.random.default_rng(3)
+        mats1, mats2 = rng.uniform(-1, 1, (6,) + first), rng.uniform(-1, 1, (6,) + second)
+        mats1[4, 0, 0], mats1[4, -1, -1] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = maximin_stack(mats1, mats2)
+        assert [np.flatnonzero(~ok).tolist() for _, _, ok in got] == [[4], []]
+        assert not got[0][0][4].any() and not got[0][1][4].any()
+        self.assert_same_solutions(got, [maximin_stack(mats1), maximin_stack(mats2)])
+
+    def test_several_stacks_match_each_stack_alone(self):
+        # neighbours of one shape and an empty stack in the middle of the frame
+        rng = np.random.default_rng(5)
+        stacks = [np.round(rng.uniform(-1, 1, (n,) + shape), 1)
+                  for n, shape in ((4, (2, 3)), (3, (2, 3)), (5, (3, 2)), (0, (3, 2)), (2, (2, 3)))]
+        self.assert_same_solutions(maximin_stack(*stacks), [maximin_stack(mats) for mats in stacks])
+
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_stack_on_either_side(self, empty_first):
+        mats = np.random.default_rng(4).uniform(-1, 1, (5, 3, 2))
+        empty = np.empty((0, 2, 4))
+        stacks = (empty, mats) if empty_first else (mats, empty)
+        got = maximin_stack(*stacks)
+        want = [maximin_stack(empty), maximin_stack(mats)]
+        self.assert_same_solutions(got, want if empty_first else want[::-1])
+        assert [a.shape for a in want[0]] == [(0, 2), (0, 4), (0,)]
+
 
 class TestEnumerateNash:
     def test_prisoners_dilemma_unique(self, prisoners_dilemma):
