@@ -175,7 +175,10 @@ class ExplicitGenerativeModel(GenerativeModel):
         self.n_col_actions = game.n_col_actions
         self.start_state = game.start_state
         self.n_states = game.n_states
-        self._cum = np.cumsum(game.transitions, axis=3)
+        # a draw past a row's mass (a sum a rounding short of 1) goes to the
+        # successor where the running sum reaches the total, of positive probability
+        cum = np.cumsum(game.transitions, axis=3)
+        self._cum = np.where(cum == cum[..., -1:], np.inf, cum)
         self._stage_cache = [game.stage_game(s) for s in range(game.n_states)]
 
     def payoffs(self, state: int) -> MatrixGame:
@@ -186,8 +189,7 @@ class ExplicitGenerativeModel(GenerativeModel):
                 _check_index("col action", j, self.n_col_actions))
 
     def sample_from_uniform_many(self, state, i, j, us):
-        idx = np.searchsorted(self._cum[self._at(state, i, j)], us, side="right")
-        return np.minimum(idx, self.game.n_states - 1).astype(np.int64)
+        return np.searchsorted(self._cum[self._at(state, i, j)], us, side="right").astype(np.int64)
 
     def distribution(self, state, i, j):
         return self.game.transitions[self._at(state, i, j)]

@@ -34,10 +34,9 @@ flagged.
 
 `maximin_stack` takes stacks of any shapes, such as a level's payoff1
 (n1 x n2) and transpose(payoff2) (n2 x n1), and runs them through that one
-loop, each game in a common frame of the most rows by the most columns.
-The padding changes no bit of a game:
-- it first repeats one of the game's own entries, so min, max and the map
-  onto [1, 2] see the real entries only, and is zeroed after the map;
+loop: each stack is cast to float64 (an int64 range may wrap), mapped onto
+[1, 2] game by game on its own entries and written into a zero LP stack of
+the most rows by the most columns.  The zero padding changes no bit:
 - a zero column has objective 0 and never enters; a zero row has 0 in the
   entering column, so it is never usable and never updated, and the real
   rows keep their 0 in the padded columns;
@@ -51,8 +50,6 @@ duality checks from matrix products that run on each game's own view,
 since those bits depend on memory layout.  `maximin` is the stack of one,
 with its value taken on the matrix itself.
 """
-
-import math
 
 import numpy as np
 
@@ -88,11 +85,23 @@ def onto_one_two(mat):
 
     Raises SgError when the range of mat overflows float64.
     """
-    low = mat.min()
-    span = float(mat.max()) - float(low)  # a Python float overflows to inf, silently
-    if span == math.inf:
-        raise SgError(f"payoff range {float(low)!r} .. {float(mat.max())!r} overflows float64")
-    return (mat - low) / (span or 1.0) + 1.0
+    mapped, ok = _onto_one_two(np.asarray(mat, dtype=float)[None])
+    if not ok[0]:
+        raise SgError(f"payoff range {float(mat.min())!r} .. {float(mat.max())!r} overflows float64")
+    return mapped[0]
+
+
+def _onto_one_two(mats):
+    """Each game of a float stack (K, n1, n2) mapped affinely onto [1, 2] by
+    its own min and span: (mapped, ok), ok False where the range overflows
+    float64.  Those games and the constant ones map to all ones."""
+    low = mats.min(axis=(1, 2), keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = mats.max(axis=(1, 2), keepdims=True) - low
+        mapped = (mats - low) / np.where(span == 0.0, 1.0, span) + 1.0
+    ok = np.isfinite(span[:, 0, 0])
+    mapped[~ok] = 1.0
+    return mapped, ok
 
 
 def maximin_stack(*stacks):
@@ -112,22 +121,10 @@ def maximin_stack(*stacks):
     for mats in stacks:
         end += len(mats)
         parts.append((slice(end - len(mats), end),) + mats.shape[1:])
-    frame = np.empty((end, max(n1 for _, n1, _ in parts), max(n2 for *_, n2 in parts)))
+    a = np.zeros((end, max(n1 for _, n1, _ in parts), max(n2 for *_, n2 in parts)))
+    ok = np.empty(end, dtype=bool)
     for mats, (games, n1, n2) in zip(stacks, parts):
-        frame[games] = mats[:, :1, :1]  # padding repeats an entry, so min and max hold
-        frame[games, :n1, :n2] = mats
-    low = frame.min(axis=(1, 2))
-    with np.errstate(over="ignore"):
-        span = frame.max(axis=(1, 2)) - low
-    ok = np.isfinite(span)
-    if not ok.all():  # a finite placeholder: those games map to all ones
-        frame = np.where(ok[:, None, None], frame, low[:, None, None])
-        span = np.where(ok, span, 0.0)
-    span = np.where(span == 0.0, 1.0, span)
-    a = (frame - low[:, None, None]) / span[:, None, None] + 1.0
-    for games, n1, n2 in parts:
-        a[games, n1:] = 0.0
-        a[games, :, n2:] = 0.0
+        a[games, :n1, :n2], ok[games] = _onto_one_two(np.asarray(mats, dtype=float))
     y, duals, solved = _solve_packing_stack(a)
     ok &= solved
     solutions = []
@@ -144,12 +141,12 @@ def maximin_stack(*stacks):
 def _solve_packing_stack(a):
     """max sum(y) s.t. a y <= 1, y >= 0 for each matrix of a stack a
     (K, n1, n2), pivoted in lockstep.  Each matrix has its entries in [1, 2],
-    except for zero rows and columns, a frame's padding: a zero column is no
-    variable (objective 0) and a zero row no constraint.
+    except for zero rows and columns, the padding of a smaller game: a zero
+    column is no variable (objective 0) and a zero row no constraint.
 
     Returns (y (K, n2), duals (K, n1), ok (K,)): ok[k] is False where game
     k's LP has no leaving row (unbounded) or does not terminate within the
-    frame's pivot cap, and y[k] and duals[k] then mean nothing.
+    stack's pivot cap, and y[k] and duals[k] then mean nothing.
     """
     k, n1, n2 = a.shape
     games = np.arange(k)
@@ -168,33 +165,30 @@ def _solve_packing_stack(a):
         if not pivoting.any():
             break
         entering = negative.argmax(axis=1)
-        col = tableau[games, :n1, entering]
-        usable = pivoting[:, None] & (col > _TOL)
-        ratios = tableau[:, :n1, -1] / np.where(usable, col, 1.0)
+        col = tableau[games, :, entering]  # the objective row last
+        usable = pivoting[:, None] & (col[:, :n1] > _TOL)
+        ratios = tableau[:, :n1, -1] / np.where(usable, col[:, :n1], 1.0)
         usable &= ratios < np.inf  # an infinite ratio never leaves
         ratios = np.where(usable, ratios, 0.0)  # finite, so no step meets inf - inf
-        # the ratio test scans the rows in order, each game's best starting at its
-        # first usable row; ties within _TOL go to the lower basis variable
-        seen, best, best_var = usable[:, 0], ratios[:, 0], basis[:, 0]
-        leaving = np.zeros(k, dtype=int)
+        # the ratio test scans the rows in order, a game's best infinite until
+        # its first usable row; ties within _TOL go to the lower basis variable
+        best = np.where(usable[:, 0], ratios[:, 0], np.inf)
+        best_var, leaving = basis[:, 0], np.zeros(k, dtype=int)
         for r in range(1, n1):
             ratio, var = ratios[:, r], basis[:, r]
-            take = usable[:, r] & (~seen | (ratio < best - _TOL)
+            take = usable[:, r] & ((ratio < best - _TOL)
                                    | ((np.abs(ratio - best) <= _TOL) & (var < best_var)))
             best, best_var = np.where(take, ratio, best), np.where(take, var, best_var)
             leaving = np.where(take, r, leaving)
-            seen = seen | take
-        ok &= seen | ~pivoting  # no leaving row: unbounded
-        pivoting &= seen
+        found = best < np.inf
+        ok &= found | ~pivoting  # no leaving row: unbounded
+        pivoting &= found
 
         # rows of games that do not pivot are divided by 1.0 and left alone
-        piv = tableau[games, leaving] / np.where(pivoting, tableau[games, leaving, entering],
-                                                 1.0)[:, None]
+        piv = tableau[games, leaving] / np.where(pivoting, col[games, leaving], 1.0)[:, None]
         tableau[games, leaving] = piv
-        factors = tableau[games, :, entering]
+        factors = np.where(pivoting[:, None], col, 0.0)[:, :, None]
         factors[games, leaving] = 0.0
-        factors[~pivoting] = 0.0
-        factors = factors[:, :, None]
         np.subtract(tableau, factors * piv[:, None, :], out=tableau, where=factors != 0.0)
         basis[games, leaving] = np.where(pivoting, entering, basis[games, leaving])
     else:

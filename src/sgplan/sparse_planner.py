@@ -172,8 +172,14 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
     seed = _root_seed(seed)
     n1, n2 = model.n_row_actions, model.n_col_actions
     width = n1 * n2 * m
-    nodes = sum(width ** k for k in range(t + 1))
-    if node_budget is not None and nodes > _check_index("node_budget", node_budget):
+    budget = math.inf if node_budget is None else _check_index("node_budget", node_budget)
+    nodes = level = 1
+    for _ in range(t):  # level by level: a deep tree is refused at its first level past budget
+        if nodes > budget:
+            break
+        level *= width
+        nodes += level
+    if nodes > budget:
         raise NodeBudgetExceeded(
             f"sparse recursion exceeded node budget {node_budget} "
             f"(root state={state}, t={t}, m={m})")

@@ -136,6 +136,19 @@ class TestGenerativeModel:
         _, p = stats.chisquare(observed, expected[keep])
         assert p > 1e-4
 
+    def test_draw_past_the_row_mass_keeps_to_possible_successors(self):
+        # the row sums to 1 - 5e-13, within validation's tolerance; a draw past
+        # that mass goes to a successor of positive probability, not to the
+        # last state
+        transitions = np.zeros((3, 1, 1, 3))
+        transitions[:, 0, 0] = [0.5, 0.4999999999995, 0.0]
+        game = StochasticGame(np.zeros((3, 1, 1)), np.zeros((3, 1, 1)), transitions)
+        assert validate(game).ok
+        model = as_generative(game)
+        assert model.sample_from_uniform(0, 0, 0, 0.9999999999999) == 1
+        us = np.array([0.0, 0.25, 0.5, 0.75, 0.9999999999994, 0.9999999999995, 1 - 2**-53])
+        assert model.sample_from_uniform_many(2, 0, 0, us).tolist() == [0, 0, 1, 1, 1, 1, 1]
+
     def test_exact_distribution_access(self):
         game = random_game(3, 2, 2, 2, 1.0, seed=4)
         model = as_generative(game)

@@ -354,6 +354,22 @@ class TestMaximinStack:
                   for n, shape in ((4, (2, 3)), (3, (2, 3)), (5, (3, 2)), (0, (3, 2)), (2, (2, 3)))]
         self.assert_same_solutions(maximin_stack(*stacks), [maximin_stack(mats) for mats in stacks])
 
+    def test_int_stacks_solve_as_their_float_copies(self):
+        # an int64 range of 2**63 wraps in int64 arithmetic, so each stack is
+        # mapped as float64, alone and beside a float stack of another shape
+        rng = np.random.default_rng(6)
+        wide = rng.choice(np.array([-2**62, 0, 1, 2**62]), (6, 2, 3))
+        wide[:, 0, 0], wide[:, 1, 2] = 2**62, -2**62
+        small = rng.integers(-3, 4, (6, 2, 3))
+        floats = rng.uniform(-1, 1, (5, 3, 2))
+        for ints in (wide, small):
+            copy = ints.astype(float)
+            self.assert_same_solutions([maximin_stack(ints)], [maximin_stack(copy)])
+            self.assert_same_solutions(maximin_stack(ints, floats),
+                                       maximin_stack(copy, floats))
+            self.assert_same_solutions(maximin_stack(floats, ints),
+                                       maximin_stack(floats, copy))
+
     @pytest.mark.parametrize("empty_first", [True, False])
     def test_empty_stack_on_either_side(self, empty_first):
         mats = np.random.default_rng(4).uniform(-1, 1, (5, 3, 2))

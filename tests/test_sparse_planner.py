@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import time
 
 import numpy as np
 import pytest
@@ -247,6 +248,15 @@ class TestSparseGame:
         with pytest.raises(NodeBudgetExceeded, match="node budget 72"):
             sparse_game(model, 0, 2, 2, seed=0, selection=select, node_budget=72)
         assert calls == []
+
+    def test_deep_tree_refused_at_once(self, three_state_game):
+        # the node count stops at the first level past the budget, so a
+        # horizon of 10**7 is refused without summing 10**7 powers
+        model = as_generative(three_state_game)
+        start = time.perf_counter()
+        with pytest.raises(NodeBudgetExceeded, match="node budget 1000 "):
+            sparse_game(model, 0, 10**7, 1, 0, node_budget=1000)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("state", [-1, 3])
     def test_unknown_state_rejected(self, three_state_game, state):
