@@ -134,10 +134,13 @@ def validate(game: StochasticGame) -> ValidationReport:
 class GenerativeModel(abc.ABC):
     """Black-box planning access: stage payoffs plus transition sampling.
 
-    A model implements `payoffs` and `sample_from_uniform_many`, the one
-    sampling call of the sparse planner.  Randomness is explicit (uniform
-    draws or a numpy Generator); the model holds no mutable state, so
-    concurrent use with independent streams is safe.
+    A model implements `payoffs` and `sample_from_uniform_many`.  The sparse
+    planner calls the batched hooks `payoffs_many`, once per level, and
+    `sample_from_uniform_block`, once per block of a level; their defaults
+    loop over the distinct states through the two required methods, and a
+    model may override them with array code of the same results.  Randomness is
+    explicit (uniform draws or a numpy Generator); the model holds no
+    mutable state, so concurrent use with independent streams is safe.
     """
 
     n_row_actions: int
@@ -151,6 +154,23 @@ class GenerativeModel(abc.ABC):
     def sample_from_uniform_many(self, state, i, j, us: np.ndarray) -> np.ndarray:
         """Next state (int64) for each uniform draw in `us`, each in [0, 1)."""
 
+    def payoffs_many(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Both players' stage payoffs at each of the (K,) `states`, K >= 1:
+        a pair of (K, n1, n2) float arrays.  The default calls `payoffs`
+        once per distinct state."""
+        uniq, inverse = np.unique(states, return_inverse=True)
+        stages = [self.payoffs(s) for s in uniq.tolist()]
+        return (np.array([g.payoff1 for g in stages])[inverse],
+                np.array([g.payoff2 for g in stages])[inverse])
+
+    def sample_from_uniform_block(self, states: np.ndarray, us: np.ndarray) -> np.ndarray:
+        """Next states (int64, shaped as `us`) for a (K, n1, n2, m) block of
+        uniform draws, each in [0, 1): us[k, i, j] are draws at (states[k],
+        i, j).  The default calls `sample_from_uniform_many` once per
+        distinct (state, i, j), states in ascending order."""
+        return _by_row(states, us, lambda s, i, j, draws: np.reshape(
+            self.sample_from_uniform_many(s, i, j, draws.ravel()), draws.shape))
+
     def sample_from_uniform(self, state: int, i: int, j: int, u: float) -> int:
         return int(self.sample_from_uniform_many(state, i, j, np.array([u], dtype=float))[0])
 
@@ -162,11 +182,25 @@ class GenerativeModel(abc.ABC):
         return None
 
 
+def _by_row(states: np.ndarray, us: np.ndarray, draw) -> np.ndarray:
+    """A block's next states, int64 and shaped as `us`, from one call of
+    draw(s, i, j, draws) per distinct state s and action pair (i, j), states
+    in ascending order; `draws` holds us[k, i, j] of every node k at s."""
+    out = np.empty(us.shape, dtype=np.int64)
+    uniq, inverse = np.unique(states, return_inverse=True)
+    for k, s in enumerate(uniq.tolist()):
+        nodes = np.flatnonzero(inverse == k)
+        for i, j in np.ndindex(*us.shape[1:3]):
+            out[nodes, i, j] = draw(s, i, j, us[nodes, i, j])
+    return out
+
+
 class ExplicitGenerativeModel(GenerativeModel):
     """Generative wrapper over an explicit StochasticGame.
 
     Inverse-CDF sampling over the stored distributions.  States resolve
-    through `game.state`; an action outside the game is a ValueError.
+    through `game.state`; an action outside the game, or a draw outside
+    [0, 1), is a ValueError.
     """
 
     def __init__(self, game: StochasticGame):
@@ -184,15 +218,52 @@ class ExplicitGenerativeModel(GenerativeModel):
     def payoffs(self, state: int) -> MatrixGame:
         return self._stage_cache[self.game.state(state)]
 
+    def payoffs_many(self, states):
+        states = self._states(states)
+        return self.game.payoffs1[states], self.game.payoffs2[states]
+
     def _at(self, state, i, j) -> tuple[int, int, int]:
         return (self.game.state(state), _check_index("row action", i, self.n_row_actions),
                 _check_index("col action", j, self.n_col_actions))
 
+    def _states(self, states) -> np.ndarray:
+        """`states` as an integer array, checked by one min and one max; the
+        first bad entry raises as `game.state` does."""
+        states = np.asarray(states)
+        if states.dtype.kind in "iu" and (states.size == 0 or (
+                states.min() >= 0 and states.max() < self.n_states)):
+            return states
+        for s in states.ravel().tolist():
+            self.game.state(s)
+        return states.astype(np.int64)
+
     def sample_from_uniform_many(self, state, i, j, us):
-        return np.searchsorted(self._cum[self._at(state, i, j)], us, side="right").astype(np.int64)
+        return np.searchsorted(self._cum[self._at(state, i, j)], _draws(us),
+                               side="right").astype(np.int64)
+
+    def sample_from_uniform_block(self, states, us):
+        """One `searchsorted` per distinct (state, i, j) on its cumulative
+        row; the states and the draws are checked once per call."""
+        states, us = self._states(states), _draws(us)
+        if us.shape[:3] != states.shape + (self.n_row_actions, self.n_col_actions):
+            raise DimensionMismatch(f"draw block of shape {us.shape} does not match "
+                                    f"{states.shape} states of {self.n_row_actions}x"
+                                    f"{self.n_col_actions} actions")
+        return _by_row(states, us, lambda s, i, j, draws: np.searchsorted(
+            self._cum[s, i, j], draws, side="right"))
 
     def distribution(self, state, i, j):
         return self.game.transitions[self._at(state, i, j)]
+
+
+def _draws(us) -> np.ndarray:
+    """`us` as a float array of draws in [0, 1), checked by one min and one
+    max; the first draw outside, NaN included, raises a ValueError."""
+    us = np.asarray(us, dtype=float)
+    if us.size and not (us.min() >= 0.0 and us.max() < 1.0):  # false for NaN
+        bad = us.ravel()[np.argmin((us >= 0.0) & (us < 1.0))]
+        raise ValueError(f"uniform draw {float(bad)!r} not in [0, 1)")
+    return us
 
 
 def as_generative(game: StochasticGame, check: bool = True) -> ExplicitGenerativeModel:

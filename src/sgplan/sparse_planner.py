@@ -10,14 +10,20 @@ and plays the selection function's equilibrium of the pair.  The per-call
 cost is independent of the state-space size but exponential in t.
 
 The tree is backed up by one recursion.  It takes the nodes it is given
-in blocks: a block's children are derived and sampled at once in array
-operations, backed up by the recursion one time step lower, and averaged --
-by numpy's (pairwise) mean over the m leaves at tt = 1, by a left-to-right
-sum divided by m above it.  The stage payoffs plus these means are the
-nodes' backup matrices.  A block has at most about _LEAF_BLOCK = 16384
-children at every level, so no level is ever held whole, and each distinct
-leaf state's stage game is selected once per planning call.  Distinct
-states are read off a table when the game is no larger than the block.
+in blocks: a block's children are derived in array operations and sampled
+by one call of the model's `sample_from_uniform_block`, backed up by the
+recursion one time step lower, and averaged -- by numpy's (pairwise) mean
+over the m leaves at tt = 1, by a left-to-right sum divided by m above it.
+The stage payoffs, one `payoffs_many` call per level, plus these means are
+the nodes' backup matrices.  A block has at most about _LEAF_BLOCK = 16384
+children at every level, so no level is ever held whole.  The leaves read
+a stage cache (`_LeafStages`) that selects each distinct leaf state's
+stage game once per planning call and keeps the selections in arrays:
+indexed by state when the game has no more states than the call has
+leaves, else by the distinct leaf states met so far.  Distinct states are
+read off a table when the game is no larger than the block.  The field
+mixes of the seed rule's constant fields (tt, i, j, l) are computed once
+per value and kept in a bounded cache.
 
 All randomness is derived, never streamed: each branch (i, j, l) of a node
 gets its own 64-bit seed from a fixed SplitMix64-style mixing of
@@ -38,6 +44,7 @@ state changes no bit at the reachable ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -64,12 +71,13 @@ _LEAF_BLOCK = 16384
 
 
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    """SplitMix64's finalizer, in place on a uint64 array the caller owns."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
     return z
 
 
@@ -86,20 +94,41 @@ def derive_seed(parent: int, *fields: int) -> int:
     return int(h[0])
 
 
+def _mixed_field(field) -> np.ndarray:
+    """The field half of a fold step: mix64(field + GOLDEN), elementwise."""
+    z = np.asarray(field).astype(np.uint64)
+    z += np.uint64(_GOLDEN)
+    return _mix64_arr(z)
+
+
+@functools.lru_cache(maxsize=64)
+def _constant_fields(start: int, stop: int) -> np.ndarray:
+    """`_mixed_field` of the fields start..stop-1 (a tree's tt, i, j or l),
+    read-only and computed once per range.  A call at depth t uses t + 3
+    ranges, so 64 entries hold those of several calls of differing t and m
+    while bounding the cache at 64 arrays."""
+    z = _mixed_field(np.arange(start, stop))
+    z.setflags(write=False)
+    return z
+
+
 def _fold(h: np.ndarray, field) -> np.ndarray:
     """One fold step of the seed rule, elementwise with broadcasting."""
-    return _mix64_arr(h ^ _mix64_arr(np.asarray(field).astype(np.uint64) + np.uint64(_GOLDEN)))
+    return _mix64_arr(h ^ _mixed_field(field))
 
 
 def _derive_children(branch_seeds, m: int) -> np.ndarray:
     """derive_seed(b, l) for each branch seed b and l < m, on a new last axis."""
-    return _fold(np.asarray(branch_seeds, dtype=np.uint64)[..., None], np.arange(m))
+    return _mix64_arr(np.asarray(branch_seeds, dtype=np.uint64)[..., None] ^ _constant_fields(0, m))
 
 
 def _uniforms(seeds: np.ndarray) -> np.ndarray:
     """One uniform in [0, 1) per seed (top 53 bits of a second mix)."""
-    mixed = _mix64_arr(seeds ^ np.uint64(_UNIFORM_SALT))
-    return (mixed >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    z = _mix64_arr(seeds ^ np.uint64(_UNIFORM_SALT))
+    z >>= np.uint64(11)
+    us = z.astype(np.float64)
+    us *= 1.0 / (1 << 53)
+    return us
 
 
 @dataclass(frozen=True)
@@ -135,22 +164,60 @@ def _distinct(states: np.ndarray, game: StochasticGame | None) -> tuple[np.ndarr
 def _expand(model: GenerativeModel, states: np.ndarray, seeds: np.ndarray, tt: int,
             m: int) -> tuple[np.ndarray, np.ndarray]:
     """Children of every node of one level (time remaining tt): their
-    states and seeds, shape (nodes, n1, n2, m).  Draws one sample batch per
-    distinct (state, i, j) of the level."""
+    states and seeds, shape (nodes, n1, n2, m), from one sampling call."""
     n1, n2 = model.n_row_actions, model.n_col_actions
-    h = _fold(_fold(seeds, states), [tt])
-    branch = _fold(_fold(h[:, None], np.arange(n1))[:, :, None], np.arange(n2))
+    h = _mix64_arr(_fold(seeds, states) ^ _constant_fields(tt, tt + 1))
+    branch = _mix64_arr(_mix64_arr(h[:, None] ^ _constant_fields(0, n1))[:, :, None]
+                        ^ _constant_fields(0, n2))
     child_seeds = _derive_children(branch, m)
-    us = _uniforms(child_seeds)
-    children = np.empty(child_seeds.shape, dtype=np.int64)
-    uniq, inverse = _distinct(states, getattr(model, "game", None))
-    for k, s in enumerate(uniq):
-        rows = np.flatnonzero(inverse == k)
-        for i in range(n1):
-            for j in range(n2):
-                drawn = model.sample_from_uniform_many(int(s), i, j, us[rows, i, j].ravel())
-                children[rows, i, j] = np.reshape(drawn, (rows.size, m))
-    return children, child_seeds
+    return model.sample_from_uniform_block(states, _uniforms(child_seeds)), child_seeds
+
+
+class _LeafStages:
+    """The stage payoffs and selections of one planning call's leaf states,
+    each selected once, as the level tuple's arrays (q1, q2, rows, cols,
+    values1, values2) indexed by slot.  A game with no more states than the
+    call has leaves gives each state the slot of its id (`done` marks the
+    states selected), so a block whose states are all selected costs two
+    gathers; otherwise the slots are the distinct leaf states met so far,
+    `states`, in ascending order."""
+
+    def __init__(self, model: GenerativeModel, selection: SelectionFunction,
+                 game: StochasticGame | None, by_state: bool):
+        n1, n2 = model.n_row_actions, model.n_col_actions
+        self.model, self.selection, self.game = model, selection, game
+        size = game.n_states if by_state else 0
+        self.done = np.zeros(size, dtype=bool) if by_state else None
+        self.states = np.empty(0, dtype=np.int64)
+        self.level = tuple(np.empty((size,) + shape) for shape in
+                           ((n1, n2), (n1, n2), (n1,), (n2,), (), ()))
+
+    def _select(self, new: np.ndarray) -> tuple:
+        p1, p2 = self.model.payoffs_many(new)
+        return (p1, p2) + select_level(self.selection, p1, p2, new, 0)
+
+    def at(self, states: np.ndarray, first: int = 0) -> tuple:
+        """The level tuple's arrays from `first` on at the leaf nodes `states`,
+        one entry per node, selecting the states not met before."""
+        if self.done is not None:
+            if not self.done.all():
+                uniq = _distinct(states, self.game)[0]
+                new = uniq[~self.done[uniq]]
+                if new.size:  # every leaf state may already be selected
+                    for a, x in zip(self.level, self._select(new)):
+                        a[new] = x
+                    self.done[new] = True
+            return tuple(a[states] for a in self.level[first:])
+        uniq, inverse = _distinct(states, self.game)
+        new = uniq[~np.isin(uniq, self.states, assume_unique=True)]
+        if new.size:
+            merged = np.concatenate([self.states, new])
+            order = np.argsort(merged, kind="stable")
+            self.states = merged[order]
+            self.level = tuple(np.concatenate([a, x])[order]
+                               for a, x in zip(self.level, self._select(new)))
+        slots = np.searchsorted(self.states, uniq)[inverse]
+        return tuple(a[slots] for a in self.level[first:])
 
 
 def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
@@ -184,39 +251,32 @@ def sparse_game(model: GenerativeModel, state: int, t: int, m: int, seed,
             f"sparse recursion exceeded node budget {node_budget} "
             f"(root state={state}, t={t}, m={m})")
     per_block = max(1, _LEAF_BLOCK // width)
-    stage_cache: dict[int, tuple] = {}  # state -> its stage game's (q1, q2, row, col, v1, v2)
+    leaves = _LeafStages(model, selection, explicit_game,
+                         explicit_game is not None and explicit_game.n_states <= level)
 
     def backup(states: np.ndarray, seeds: np.ndarray, tt: int):
         """The level tuple (q1, q2, rows, cols, values1, values2) of the
-        nodes (states, seeds) at time remaining tt, one entry per node; at
-        tt = 0 only the values are per node, the rest per distinct state."""
-        uniq, inverse = _distinct(states, explicit_game)
-        if tt == 0:
-            new = [s for s in uniq.tolist() if s not in stage_cache]
-            if new:  # every leaf state may already be selected
-                stages = [model.payoffs(s) for s in new]
-                q1 = np.array([g.payoff1 for g in stages])
-                q2 = np.array([g.payoff2 for g in stages])
-                stage_cache.update(zip(new, zip(q1, q2, *select_level(selection, q1, q2, new, 0))))
-            q1, q2, rows, cols, v1, v2 = map(np.array, zip(*map(stage_cache.get, uniq.tolist())))
-            return q1, q2, rows, cols, v1[inverse], v2[inverse]
+        nodes (states, seeds) at time remaining tt >= 1, one entry per node."""
         means = np.empty((2, states.size, n1, n2))
         for lo in range(0, states.size, per_block):
             block = slice(lo, lo + per_block)
             children, child_seeds = _expand(model, states[block], seeds[block], tt, m)
-            for k, v in enumerate(backup(children.ravel(), child_seeds.ravel(), tt - 1)[4:]):
+            values = (leaves.at(children.ravel(), 4) if tt == 1 else
+                      backup(children.ravel(), child_seeds.ravel(), tt - 1)[4:])
+            for k, v in enumerate(values):
                 v = v.reshape(children.shape)
                 if tt == 1:  # numpy's (pairwise) mean over the m leaves
                     means[k, block] = v.mean(axis=-1)
-                else:  # the child values summed left to right from 0.0
-                    means[k, block] = sum(v[..., ell] for ell in range(m)) / m
-        stages = [model.payoffs(s) for s in uniq.tolist()]
-        q1 = np.array([g.payoff1 for g in stages])[inverse] + means[0]
-        q2 = np.array([g.payoff2 for g in stages])[inverse] + means[1]
+                else:  # the child values summed left to right from 0.0: the running
+                    # sum from v[..., 0] differs only by a -0.0 for +0.0, which + 0.0 mends
+                    means[k, block] = (np.cumsum(v, axis=-1)[..., -1] + 0.0) / m
+        p1, p2 = model.payoffs_many(states)
+        q1, q2 = p1 + means[0], p2 + means[1]
         return (q1, q2) + select_level(selection, q1, q2, states, tt)
 
-    return SparsePlanResult.of(backup(np.array([state], dtype=np.int64),
-                                      np.array([seed], dtype=np.uint64), t), nodes)
+    root = np.array([state], dtype=np.int64)
+    top = backup(root, np.array([seed], dtype=np.uint64), t) if t else leaves.at(root)
+    return SparsePlanResult.of(top, nodes)
 
 
 def _in_state_order(transitions: np.ndarray, v: np.ndarray) -> np.ndarray:

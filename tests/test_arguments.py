@@ -189,6 +189,9 @@ MODEL_CALLS = {
     "sample_from_uniform_many":
         lambda model, s: model.sample_from_uniform_many(s, 0, 0, np.array([0.25, 0.5])),
     "distribution": lambda model, s: model.distribution(s, 0, 0),
+    "payoffs_many": lambda model, s: model.payoffs_many(np.array([0, s])),
+    "sample_from_uniform_block": lambda model, s: model.sample_from_uniform_block(
+        np.array([s, 0]), np.full((2, 2, 2, 1), 0.5)),
 }
 
 

@@ -149,6 +149,23 @@ class TestGenerativeModel:
         us = np.array([0.0, 0.25, 0.5, 0.75, 0.9999999999994, 0.9999999999995, 1 - 2**-53])
         assert model.sample_from_uniform_many(2, 0, 0, us).tolist() == [0, 0, 1, 1, 1, 1, 1]
 
+    def test_draw_outside_unit_interval_refused(self):
+        # unchecked, these draws gave [3, 3, 1, 0], and 3 is not a state
+        model = as_generative(random_game(3, 2, 2, 2, 1.0, seed=0))
+        draws = [np.nan, np.inf, 1.5, -0.1]
+        for k, bad in enumerate(draws):
+            us = np.array([0.25] + draws[k:])
+            message = rf"uniform draw {bad!r} not in \[0, 1\)"
+            with pytest.raises(ValueError, match=message):
+                model.sample_from_uniform_many(0, 0, 0, us)
+            with pytest.raises(ValueError, match=message):
+                model.sample_from_uniform_block(np.array([0]), np.resize(us, (1, 2, 2, us.size)))
+        with pytest.raises(ValueError, match=r"uniform draw 1.0 not in \[0, 1\)"):
+            model.sample_from_uniform(0, 0, 0, 1.0)
+        with pytest.raises(DimensionMismatch, match=r"draw block of shape \(2, 2, 2, 1\)"):
+            model.sample_from_uniform_block(np.array([0]), np.full((2, 2, 2, 1), 0.5))
+        assert model.sample_from_uniform_many(0, 0, 0, [0.0, 1 - 2 ** -53]).tolist() == [0, 1]
+
     def test_exact_distribution_access(self):
         game = random_game(3, 2, 2, 2, 1.0, seed=4)
         model = as_generative(game)

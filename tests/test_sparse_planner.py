@@ -17,7 +17,7 @@ from sgplan.sparse_planner import (GapRow, SparsePlanResult, _derive_children, _
                                   _in_state_order, _uniforms)
 
 from conftest import STANDARD_FIXTURE_SEED
-from oracles import scalar_derive_seed
+from oracles import _mix64, scalar_derive_seed
 
 
 def recursive_reference(model, state, t, m, seed, selection=nash_select):
@@ -137,6 +137,51 @@ class SparseIds(PayoffsAndSamplerOnly):
         return self.id(super().sample_from_uniform_many((state - self.id(0)) // 7, i, j, us))
 
 
+def _hashed_successor(state, action_pair, us, n_states):
+    """SplitMix64's finalizer of (4 * state + action pair) xor the draw's bits,
+    mod n_states: elementwise, so scalar and batched calls share its bits."""
+    z = (np.asarray(state, dtype=np.uint64) * np.uint64(4)
+         + np.asarray(action_pair, dtype=np.uint64)) ^ np.asarray(us, dtype=float).view(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) % np.uint64(n_states)).astype(np.int64)
+
+
+class Procedural(GenerativeModel):
+    """A procedural 2x2 model of any state count, with only the two required
+    methods: state s plays stage game s % 97 of a fixed pool, and a draw u
+    at (s, i, j) goes to a hash of (s, i, j, u)."""
+
+    n_row_actions = n_col_actions = 2
+
+    def __init__(self, n_states):
+        rng = np.random.default_rng(97)
+        self.pool = [MatrixGame(*rng.uniform(-1.0, 1.0, (2, 2, 2))) for _ in range(97)]
+        self.n_states = n_states
+
+    def payoffs(self, state):
+        return self.pool[state % 97]
+
+    def sample_from_uniform_many(self, state, i, j, us):
+        return _hashed_successor(state, 2 * i + j, us, self.n_states)
+
+
+class BatchedProcedural(Procedural):
+    """Procedural with both batched hooks in array operations."""
+
+    def __init__(self, n_states):
+        super().__init__(n_states)
+        self.pool1 = np.array([g.payoff1 for g in self.pool])
+        self.pool2 = np.array([g.payoff2 for g in self.pool])
+
+    def payoffs_many(self, states):
+        return self.pool1[states % 97], self.pool2[states % 97]
+
+    def sample_from_uniform_block(self, states, us):
+        return _hashed_successor(states[:, None, None, None], np.arange(4).reshape(2, 2, 1), us,
+                                 self.n_states)
+
+
 def counting(selection):
     calls = []
 
@@ -183,6 +228,31 @@ class TestSeedDerivation:
         assert us.min() >= 0.0
         assert us.max() < 1.0
         assert abs(us.mean() - 0.5) < 0.02
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_helpers_leave_inputs_unchanged(self, seed):
+        # the mixer works in place on arrays it owns, never on its callers'
+        seeds = np.array([seed, seed ^ 5, 7], dtype=np.uint64)
+        fields = np.array([0, 3, 2 ** 63], dtype=np.uint64)
+        kept = seeds.copy(), fields.copy()
+        assert derive_seed(seed, 3, 5) == scalar_derive_seed(seed, 3, 5)
+        folded = sparse_planner._fold(seeds, fields)
+        children = _derive_children(seeds, 4)
+        us = _uniforms(seeds)
+        assert np.array_equal(seeds, kept[0]) and np.array_equal(fields, kept[1])
+        for k, (s, f) in enumerate(zip(seeds.tolist(), fields.tolist())):
+            assert int(folded[k]) == scalar_derive_seed(s, f)
+            assert children[k].tolist() == [scalar_derive_seed(s, ell) for ell in range(4)]
+            assert us[k] == (_mix64(s ^ sparse_planner._UNIFORM_SALT) >> 11) * 2.0 ** -53
+        children_kept = children.copy()
+        assert np.array_equal(_uniforms(children), _uniforms(children_kept))
+        assert np.array_equal(children, children_kept)
+
+    def test_constant_fields_read_only(self):
+        mixed = sparse_planner._constant_fields(0, 16)
+        assert mixed is sparse_planner._constant_fields(0, 16)
+        assert not mixed.flags.writeable
+        assert mixed.tolist() == [_mix64(f + 0x9E3779B97F4A7C15) for f in range(16)]
 
     def test_seed_spec_wraps_and_validates(self, three_state_game):
         root_seed = sparse_planner._root_seed
@@ -461,6 +531,68 @@ class TestDistinctStates:
         for t, m in ((0, 3), (1, 9), (2, 3), (3, 2)):
             assert_same_bits(sparse_game(model, SparseIds.id(2), t, m, seed=13),
                              recursive_reference(model, SparseIds.id(2), t, m, 13))
+
+
+class TestBatchedHooks:
+    """Models that override `payoffs_many` and `sample_from_uniform_block`
+    give the bits of the base class's loops over the two required methods."""
+
+    @staticmethod
+    def models(game):
+        return [(as_generative(game), PayoffsAndSamplerOnly(game)),
+                (BatchedProcedural(10 ** 6), Procedural(10 ** 6))]
+
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_hooks_match_default_loops(self, three_state_game, m):
+        rng = np.random.default_rng(m)
+        for batched, _ in self.models(three_state_game):
+            for states in (np.array([1]), rng.integers(0, batched.n_states, 40),
+                           np.array([2, 0, 2, 2, 0])):
+                us = _uniforms(rng.integers(0, 2 ** 63, (states.size, 2, 2, m)).astype(np.uint64))
+                got = batched.payoffs_many(states)
+                for a, b in zip(got, GenerativeModel.payoffs_many(batched, states)):
+                    assert a.shape == (states.size, 2, 2) and np.array_equal(a, b)
+                got = batched.sample_from_uniform_block(states, us)
+                want = GenerativeModel.sample_from_uniform_block(batched, states, us)
+                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_planner_bits_match_scalar_only_models(self, three_state_game, t, m):
+        for batched, scalar_only in self.models(three_state_game):
+            assert_same_bits(sparse_game(batched, 1, t, m, seed=t + 31 * m),
+                             sparse_game(scalar_only, 1, t, m, seed=t + 31 * m))
+
+    def test_leaf_cache_across_blocks(self, three_state_game, monkeypatch):
+        # blocks of one node meet leaf states in later blocks that the cache
+        # must merge in, and still select each distinct leaf state once
+        models = [as_generative(three_state_game), PayoffsAndSamplerOnly(three_state_game),
+                  BatchedProcedural(100)]
+        select, calls = counting(nash_select)
+        want = []
+        for model in models:
+            calls.clear()
+            want.append((sparse_game(model, 1, 2, 4, seed=5, selection=select), len(calls)))
+        monkeypatch.setattr(sparse_planner, "_LEAF_BLOCK", 16)
+        for model, (result, selections) in zip(models, want):
+            calls.clear()
+            assert_same_bits(sparse_game(model, 1, 2, 4, seed=5, selection=select), result)
+            assert len(calls) == selections
+        assert_same_bits(want[0][0], want[1][0])
+
+    def test_one_call_of_each_hook_per_level(self, monkeypatch):
+        calls = []
+        for name in ("payoffs_many", "sample_from_uniform_block"):
+            def recording(self, states, *rest, real=getattr(BatchedProcedural, name), name=name):
+                calls.append((name, states.size))
+                return real(self, states, *rest)
+            monkeypatch.setattr(BatchedProcedural, name, recording)
+        sparse_game(BatchedProcedural(10 ** 6), 1, 2, 16, seed=0)
+        # children of the root and of its 64 children; payoffs of the distinct
+        # leaf states, of the 64 nodes at tt = 1 and of the root
+        assert [name for name, _ in calls] == (["sample_from_uniform_block"] * 2
+                                               + ["payoffs_many"] * 3)
+        assert [calls[k][1] for k in (0, 1, 3, 4)] == [1, 64, 64, 1]
 
 
 class TestExactOracle:
